@@ -75,21 +75,40 @@ def _robust_serial(tasks, policy):
     return points
 
 
+_BARE_SESSION = None
+
+
+def _bare_evaluate(payload):
+    """Pool entrypoint of the bare baseline: one ``session.run`` per point.
+
+    Like the robust worker, each worker process builds one session and
+    reuses it, so both sides share cached structure across points.
+    """
+    global _BARE_SESSION
+    spec, technology, root_seed = payload
+    if _BARE_SESSION is None:
+        from repro.api import Session
+
+        _BARE_SESSION = Session(technology=technology, root_seed=root_seed)
+    return _BARE_SESSION.run(spec)
+
+
 def _bare_pool_map(tasks):
-    """The pre-robust parallel path: ``pool.map`` over evaluation payloads."""
+    """The minimal parallel evaluation: ``pool.map`` over a bare pool.
+
+    The pool uses the default start method, as ``create_pool`` does, so
+    both contenders pay the same worker spin-up.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
     from repro.api import Session
-    from repro.api.sweep import _evaluate_point, _make_pool
 
     session = Session()
     payloads = [
-        (task.index, task.coords, task.spec, session.technology, session.root_seed)
-        for task in tasks
+        (task.spec, session.technology, session.root_seed) for task in tasks
     ]
-    pool = _make_pool(N_JOBS)
-    if pool is None:  # no pool support on this platform -> serial map
-        return [_evaluate_point(payload) for payload in payloads]
-    with pool:
-        return list(pool.map(_evaluate_point, payloads))
+    with ProcessPoolExecutor(max_workers=N_JOBS) as pool:
+        return list(pool.map(_bare_evaluate, payloads))
 
 
 def _robust_parallel(tasks, policy, fault_plan=None):
@@ -135,7 +154,7 @@ def run_benchmark() -> dict:
         2, _robust_parallel, clean_tasks, policy
     )
     assert not par_failures, par_failures
-    assert [p.report for p in par_points] == [p.report for p in mapped]
+    assert [p.report for p in par_points] == mapped
     report["clean_parallel"] = {
         "bare_map_s": t_map,
         "robust_s": t_rpar,

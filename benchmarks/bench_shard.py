@@ -1,24 +1,26 @@
-"""Shard-runner benchmark: throughput scaling and exact-resume cost.
+"""Sweep fan-out benchmark: ``n_jobs`` throughput and exact-resume cost.
 
-Measures what splitting one Monte-Carlo-heavy sweep across shard worker
-processes buys (wall-clock speedup of 2 shards over the serial engine on
-identical tasks) and what exact resume costs (a second sharded run over the
-same checkpoint store must recompute *zero* points and finish in store-read
-time).  Bit-identity of the merged result against the serial reference is
-asserted on every run -- a shard runner that is fast but wrong is worthless.
-Results go to ``benchmarks/results/perf_shard.json`` so future PRs can
-track the scaling trajectory.
+Measures what fanning one Monte-Carlo-heavy sweep out over ``n_jobs=2``
+pool workers buys (wall-clock speedup over the serial engine on identical
+tasks) and what exact resume costs (a second run over the same checkpoint
+store must recompute *zero* points and finish in store-read time).
+Bit-identity of the parallel result against the serial reference is
+asserted on every run -- a fan-out that is fast but wrong is worthless.
+Results, with the host they ran on, go to
+``benchmarks/results/perf_shard.json`` so future PRs can track the
+scaling trajectory.  (Splitting one sweep across machines is the job of
+``python -m repro.robust.shard``; CI checks that path for byte identity.)
 
-The >= 1.8x two-shard floor is enforced only on runners with at least
-``SHARD_FLOOR_CORES`` cores; on smaller hosts (CI containers are often
-1-2 cores) the number is recorded but not gated, since two shard processes
+The >= 1.8x two-worker floor is enforced only on runners with at least
+``FLOOR_CORES`` cores; on smaller hosts (CI containers are often 1-2
+cores) the number is recorded but not gated, since two workers
 time-slicing one core cannot beat the serial engine.
 
 Run directly::
 
     PYTHONPATH=src python benchmarks/bench_shard.py
 
-or through pytest (the assertions enforce the PR's floors)::
+or through pytest (the assertions enforce the floors)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_shard.py -q
 """
@@ -29,19 +31,21 @@ import functools
 import json
 import os
 import pathlib
+import platform
 import shutil
 import tempfile
 
+import numpy as np
 from bench_utils import timed_seconds
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-SHARD_FLOOR_CORES = 4
-SHARD_FLOOR_SPEEDUP = 1.8
-N_SHARDS = 2
+FLOOR_CORES = 4
+FLOOR_SPEEDUP = 1.8
+N_JOBS = 2
 
 # 4 x 4 grid = 16 points, each heavy enough (40k Monte-Carlo samples) that
-# per-point work dwarfs shard process spin-up and store traffic.
+# per-point work dwarfs pool spin-up and store traffic.
 AXES = {
     "pipeline.n_stages": [2, 3, 4, 5],
     "variation.sigma_scale": [0.5, 0.75, 1.0, 1.25],
@@ -59,86 +63,69 @@ def _base_spec():
     )
 
 
-def _tasks():
-    from repro.api import Session
-    from repro.api.sweep import ScenarioSweep
-
-    return ScenarioSweep(_base_spec(), AXES).tasks(Session())
-
-
-def _serial(tasks):
-    from repro.api import Session
-    from repro.robust import execute_tasks
-
-    points, failures, trace = execute_tasks(tasks, Session())
-    assert not failures, failures
-    return points, trace
-
-
-def _sharded(tasks, checkpoint_dir=None):
-    from repro.api import Session
-    from repro.robust import ExecutionPolicy
-    from repro.robust.shard import run_sharded
+def _sweep(n_jobs=None, checkpoint_dir=None):
+    from repro.api import ExecutionPolicy, Session, run_sweep
 
     policy = (
         ExecutionPolicy(checkpoint_dir=checkpoint_dir)
         if checkpoint_dir is not None
         else None
     )
-    points, failures, trace = run_sharded(
-        tasks, Session(), shards=N_SHARDS, policy=policy
+    result = run_sweep(
+        _base_spec(), AXES, session=Session(), n_jobs=n_jobs, policy=policy
     )
-    assert not failures, failures
-    return points, trace
+    assert not result.failures, result.failures
+    return result
 
 
-def _identity(points):
-    return [(p.index, p.coords, p.spec, p.report) for p in points]
+def _identity(result):
+    return [(p.index, p.coords, p.spec, p.report) for p in result]
 
 
 @functools.lru_cache(maxsize=1)
 def run_benchmark() -> dict:
     cpu_count = os.cpu_count() or 1
-    tasks = _tasks()
     report: dict = {
-        "sweep": {
-            "n_points": len(tasks),
-            "n_samples": N_SAMPLES,
-            "n_shards": N_SHARDS,
+        "host": {
             "cpu_count": cpu_count,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "sweep": {
+            "n_points": len(AXES["pipeline.n_stages"])
+            * len(AXES["variation.sigma_scale"]),
+            "n_samples": N_SAMPLES,
+            "n_jobs": N_JOBS,
         },
     }
 
-    # -- throughput: serial engine vs 2 shards on identical tasks ------
-    t_serial, (serial_points, _) = timed_seconds(_serial, tasks)
-    t_sharded, (sharded_points, sharded_trace) = timed_seconds(_sharded, tasks)
-    assert _identity(sharded_points) == _identity(serial_points)
+    # -- throughput: serial engine vs n_jobs workers on identical tasks --
+    t_serial, serial = timed_seconds(_sweep)
+    t_parallel, parallel = timed_seconds(_sweep, N_JOBS)
+    assert _identity(parallel) == _identity(serial)
     report["throughput"] = {
         "serial_s": t_serial,
-        "sharded_s": t_sharded,
-        "speedup": t_serial / t_sharded,
-        "pool_kind": sharded_trace.pool_kind,
-        "fallback_reason": sharded_trace.fallback_reason,
-        "floor_enforced": cpu_count >= SHARD_FLOOR_CORES,
+        "parallel_s": t_parallel,
+        "speedup": t_serial / t_parallel,
+        "pool_kind": parallel.trace.pool_kind,
+        "fallback_reason": parallel.trace.fallback_reason,
+        "floor_enforced": cpu_count >= FLOOR_CORES,
     }
 
     # -- exact resume: a second run over the same store computes nothing
     store_dir = tempfile.mkdtemp(prefix="bench-shard-store-")
     try:
-        t_cold, (cold_points, cold_trace) = timed_seconds(
-            _sharded, tasks, store_dir
-        )
-        t_resume, (resume_points, resume_trace) = timed_seconds(
-            _sharded, tasks, store_dir
-        )
-        assert _identity(resume_points) == _identity(serial_points)
+        t_cold, cold = timed_seconds(_sweep, N_JOBS, store_dir)
+        t_resume, resumed = timed_seconds(_sweep, N_JOBS, store_dir)
+        assert _identity(cold) == _identity(serial)
+        assert _identity(resumed) == _identity(serial)
         report["resume"] = {
             "cold_s": t_cold,
             "resume_s": t_resume,
-            "cold_checkpoint_writes": cold_trace.checkpoint_writes,
-            "resume_checkpoint_hits": resume_trace.checkpoint_hits,
-            "resume_checkpoint_writes": resume_trace.checkpoint_writes,
-            "points_recomputed_on_resume": resume_trace.checkpoint_writes,
+            "cold_checkpoint_writes": cold.trace.checkpoint_writes,
+            "resume_checkpoint_hits": resumed.trace.checkpoint_hits,
+            "resume_checkpoint_writes": resumed.trace.checkpoint_writes,
+            "points_recomputed_on_resume": resumed.trace.checkpoint_writes,
         }
     finally:
         shutil.rmtree(store_dir, ignore_errors=True)
@@ -149,22 +136,22 @@ def run_benchmark() -> dict:
     return report
 
 
-def test_two_shards_meet_throughput_floor_on_big_runners():
-    """The PR's acceptance floor: >= 1.8x at 2 shards, on >= 4-core hosts.
+def test_two_jobs_meet_throughput_floor_on_big_runners():
+    """The acceptance floor: >= 1.8x at ``n_jobs=2``, on >= 4-core hosts.
 
-    Smaller hosts still run the benchmark (the merged-result identity
-    assertions inside ``run_benchmark`` always hold) but skip the floor:
-    two processes on one core cannot and should not beat one.
+    Smaller hosts still run the benchmark (the bit-identity assertions
+    inside ``run_benchmark`` always hold) but skip the floor: two processes
+    on one core cannot and should not beat one.
     """
     throughput = run_benchmark()["throughput"]
     if not throughput["floor_enforced"]:
         import pytest
 
         pytest.skip(
-            f"host has {run_benchmark()['sweep']['cpu_count']} cores; the "
-            f"{SHARD_FLOOR_SPEEDUP}x floor needs >= {SHARD_FLOOR_CORES}"
+            f"host has {run_benchmark()['host']['cpu_count']} cores; the "
+            f"{FLOOR_SPEEDUP}x floor needs >= {FLOOR_CORES}"
         )
-    assert throughput["speedup"] >= SHARD_FLOOR_SPEEDUP, throughput
+    assert throughput["speedup"] >= FLOOR_SPEEDUP, throughput
 
 
 def test_resume_after_restart_recomputes_zero_points():

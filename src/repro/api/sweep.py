@@ -36,20 +36,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Sequence, Union
 
 from repro.analysis.reporting import format_table
 from repro.api.backends import DelayReport
-from repro.api.canonical import (
-    report_from_wire,
-    report_to_wire,
-    spec_from_wire,
-    spec_to_wire,
-)
 from repro.api.session import Session, derive_seed
 from repro.api.spec import AnalysisSpec, DesignStudySpec, StudySpec
-from repro.robust.executor import SweepTask, create_pool, execute_tasks
+from repro.robust.executor import SweepPoint, SweepTask, execute_tasks
 from repro.robust.failures import (
     ExecutionTrace,
     PointFailure,
@@ -122,62 +115,6 @@ def _with_point_seed(spec: AnySpec, seed: int) -> AnySpec:
 def _seed_axis(spec: AnySpec) -> str:
     """The dotted path of the spec's sampling-seed field."""
     return "validation.seed" if isinstance(spec, DesignStudySpec) else "analysis.seed"
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One evaluated sweep point: its coordinates, derived spec and report.
-
-    ``report`` is a :class:`~repro.api.backends.DelayReport` for analysis
-    sweeps and a :class:`~repro.api.design.DesignReport` for design sweeps.
-    """
-
-    index: int
-    coords: tuple[tuple[str, Any], ...]
-    spec: AnySpec
-    report: Any
-
-    def coord(self, path: str) -> Any:
-        """Value of one axis at this point."""
-        for key, value in self.coords:
-            if key == path:
-                return value
-        raise KeyError(f"no axis {path!r} at this point; axes: "
-                       f"{tuple(key for key, _ in self.coords)}")
-
-    def record(self) -> dict[str, Any]:
-        """Flat dict of coordinates plus the report's scalar summary."""
-        row = {key: value for key, value in self.coords}
-        row.update(self.report.summary())
-        target_yield = getattr(self.spec, "target_yield", None)
-        if target_yield is not None and isinstance(self.report, DelayReport):
-            row["delay_at_target_yield"] = self.report.delay_at_yield(target_yield)
-        return row
-
-    # -- serialisation --------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        """Loss-free JSON-safe view: coords, tagged spec and tagged report.
-
-        This is the unit the study server streams over the wire (one NDJSON
-        line per point); ``from_dict(to_dict())`` compares equal, report
-        samples included.
-        """
-        return {
-            "index": self.index,
-            "coords": [[path, value] for path, value in self.coords],
-            "spec": spec_to_wire(self.spec),
-            "report": report_to_wire(self.report),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepPoint":
-        """Rehydrate a point (spec and report rebuilt from tagged envelopes)."""
-        return cls(
-            index=int(data["index"]),
-            coords=tuple((str(path), value) for path, value in data["coords"]),
-            spec=spec_from_wire(data["spec"]),
-            report=report_from_wire(data["report"]),
-        )
 
 
 class SweepResult:
@@ -470,7 +407,6 @@ class ScenarioSweep:
         n_jobs: int | None = None,
         policy: ExecutionPolicy | None = None,
         fault_plan: FaultPlan | None = None,
-        shards: int | None = None,
     ) -> SweepResult:
         """Evaluate every point; ``n_jobs > 1`` fans out across processes.
 
@@ -493,88 +429,27 @@ class ScenarioSweep:
         ``fault_plan`` injects deterministic faults for chaos testing (and
         implies the partial-result contract).
 
-        ``shards > 1`` switches to the shard runner
-        (:func:`repro.robust.shard.run_sharded`): tasks are partitioned
-        across worker processes by content-addressed cache key and the
-        shards rendezvous only through a shared checkpoint store, merging
-        to a result bit-identical to a serial run.  ``shards`` and
-        ``n_jobs`` are mutually exclusive (a shard already runs its tasks
-        through a full engine).
+        ``n_jobs`` is the only in-process fan-out.  To split one sweep
+        across machines, run its shards with ``python -m
+        repro.robust.shard`` (see :mod:`repro.robust.shard`); each shard
+        is a serial run of this same engine.
         """
         # Default the session before branching so serial and parallel runs
         # resolve ``self.session`` identically.
         if session is None:
             session = self.session if self.session is not None else Session()
         strict = policy is None and fault_plan is None
-        if shards is not None and shards > 1:
-            if n_jobs is not None and n_jobs > 1:
-                raise ValueError(
-                    "shards and n_jobs are mutually exclusive; each shard "
-                    "already runs its tasks through a full engine"
-                )
-            from repro.robust.shard import run_sharded
-
-            points, failures, trace = run_sharded(
-                self.tasks(session),
-                session,
-                shards=shards,
-                policy=policy,
-                fault_plan=fault_plan,
-            )
-        else:
-            points, failures, trace = execute_tasks(
-                self.tasks(session),
-                session,
-                policy=policy,
-                n_jobs=n_jobs,
-                fault_plan=fault_plan,
-            )
+        points, failures, trace = execute_tasks(
+            self.tasks(session),
+            session,
+            policy=policy,
+            n_jobs=n_jobs,
+            fault_plan=fault_plan,
+        )
         result = SweepResult(points, failures=failures, trace=trace)
         if strict:
             result.raise_on_failure()
         return result
-
-
-def _make_pool(n_jobs: int):
-    """A verified-working process pool, or ``None`` if this platform has none.
-
-    Thin compatibility wrapper over
-    :func:`repro.robust.executor.create_pool`, which probes the pool (and
-    reaps the probe's workers with ``wait=True`` on failure) and reports
-    *why* a pool is unavailable; the sweep runner records that reason in
-    the result's :class:`~repro.robust.failures.ExecutionTrace` instead of
-    falling back silently.
-    """
-    pool, _ = create_pool(n_jobs)
-    return pool
-
-
-_WORKER_SESSION: Session | None = None
-
-
-def _worker_session(technology, root_seed: int) -> Session:
-    """The per-worker-process session, rebuilt only when its parameters change.
-
-    The worker session mirrors the dispatching session's technology and
-    root seed (shipped with each payload), so parallel runs return the same
-    numbers as serial ones; reuse across payloads is what lets one worker
-    share cached pipelines and characterisations over many sweep points.
-    """
-    global _WORKER_SESSION
-    if (
-        _WORKER_SESSION is None
-        or _WORKER_SESSION.technology != technology
-        or _WORKER_SESSION.root_seed != root_seed
-    ):
-        _WORKER_SESSION = Session(technology=technology, root_seed=root_seed)
-    return _WORKER_SESSION
-
-
-def _evaluate_point(payload: tuple) -> SweepPoint:
-    """Process-pool entrypoint: evaluate one point on a per-worker session."""
-    index, coords, spec, technology, root_seed = payload
-    session = _worker_session(technology, root_seed)
-    return SweepPoint(index, coords, spec, session.run(spec))
 
 
 def run_sweep(
@@ -586,7 +461,6 @@ def run_sweep(
     seed_policy: str = "spawn",
     policy: ExecutionPolicy | None = None,
     fault_plan: FaultPlan | None = None,
-    shards: int | None = None,
 ) -> SweepResult:
     """One-shot facade: build a :class:`ScenarioSweep` and run it."""
     return ScenarioSweep(base, axes, mode=mode, seed_policy=seed_policy).run(
@@ -594,5 +468,4 @@ def run_sweep(
         n_jobs=n_jobs,
         policy=policy,
         fault_plan=fault_plan,
-        shards=shards,
     )

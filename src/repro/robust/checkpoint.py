@@ -62,8 +62,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Process-wide suffix counter for temp-file names.  Combined with the pid
 #: and thread id it makes every writer's temp path unique even when many
-#: processes (shard workers) and threads (the serve bridge) materialise the
-#: same digest at the same instant.
+#: processes (pool workers, shard CLI runs) and threads (the serve bridge)
+#: materialise the same digest at the same instant.
 _TMP_COUNTER = itertools.count()
 
 
@@ -163,7 +163,7 @@ class CheckpointStore:
         """An exclusively created temp file unique per process *and* thread.
 
         The name carries pid, thread id and a process-wide counter, so two
-        shard workers (or serve-bridge threads) materialising the same digest
+        pool workers (or serve-bridge threads) materialising the same digest
         concurrently can never collide on one temp path; a stale leftover
         from a crashed run with the same triple falls back to ``mkstemp``.
         """

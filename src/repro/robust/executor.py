@@ -4,7 +4,7 @@
 under an :class:`~repro.robust.policy.ExecutionPolicy`, optionally fanning
 out over a process pool, and returns ``(points, failures, trace)``:
 
-* every successful point is a :class:`~repro.api.sweep.SweepPoint`;
+* every successful point is a :class:`SweepPoint`;
 * every point that exhausted its attempts is a structured
   :class:`~repro.robust.failures.PointFailure` -- one bad point never
   discards the rest of the sweep;
@@ -36,9 +36,16 @@ Recovery behaviour, by failure mode:
   as they finish and already-stored points are served from disk before any
   submission, which is what makes killed-then-resumed sweeps bit-identical
   to uninterrupted ones (per-point seeds are baked into the task specs).
+  In parallel runs each pool worker writes its own point once the report
+  has passed validation, so store writes overlap computation; the
+  coordinator only counts them.  A worker abandoned by a preemptive
+  timeout may still finish and write its entry after the coordinator has
+  moved on.  That entry is exactly what a fresh computation of the point
+  gives, so a later resume may serve it.
 
-This module imports ``repro.api`` only lazily (inside functions), so the
-spec layer can import the robust package without cycles.
+Apart from :mod:`repro.api.canonical` (spec identity and the wire
+format), this module imports ``repro.api`` only lazily (inside functions),
+so the spec layer can import the robust package without cycles.
 """
 
 from __future__ import annotations
@@ -47,8 +54,14 @@ import time
 import traceback as traceback_module
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Mapping
 
+from repro.api.canonical import (
+    report_from_wire,
+    report_to_wire,
+    spec_from_wire,
+    spec_to_wire,
+)
 from repro.robust.checkpoint import CheckpointStore, resolved_store_spec
 from repro.robust.failures import ExecutionTrace, PointFailure, PointTimeout
 from repro.robust.faults import CORRUPTED_RESULT, FaultPlan, apply_fault
@@ -56,7 +69,6 @@ from repro.robust.policy import ExecutionPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.session import Session
-    from repro.api.sweep import SweepPoint
 
 #: Smallest wait used when polling in-flight futures with a pending wakeup.
 _MIN_WAIT = 0.005
@@ -69,6 +81,65 @@ class SweepTask:
     index: int
     coords: tuple[tuple[str, Any], ...]
     spec: Any  # StudySpec | DesignStudySpec, seeds already resolved
+
+
+@dataclass(frozen=True)
+class SweepPoint:
+    """One evaluated sweep point: its coordinates, derived spec and report.
+
+    ``report`` is a :class:`~repro.api.backends.DelayReport` for analysis
+    sweeps and a :class:`~repro.api.design.DesignReport` for design sweeps.
+    Re-exported as ``repro.api.SweepPoint``.
+    """
+
+    index: int
+    coords: tuple[tuple[str, Any], ...]
+    spec: Any
+    report: Any
+
+    def coord(self, path: str) -> Any:
+        """Value of one axis at this point."""
+        for key, value in self.coords:
+            if key == path:
+                return value
+        raise KeyError(f"no axis {path!r} at this point; axes: "
+                       f"{tuple(key for key, _ in self.coords)}")
+
+    def record(self) -> dict[str, Any]:
+        """Flat dict of coordinates plus the report's scalar summary."""
+        from repro.api.backends import DelayReport
+
+        row = {key: value for key, value in self.coords}
+        row.update(self.report.summary())
+        target_yield = getattr(self.spec, "target_yield", None)
+        if target_yield is not None and isinstance(self.report, DelayReport):
+            row["delay_at_target_yield"] = self.report.delay_at_yield(target_yield)
+        return row
+
+    # -- serialisation --------------------------------------------------
+    def to_dict(self) -> dict[str, Any]:
+        """Loss-free JSON-safe view: coords, tagged spec and tagged report.
+
+        This is the unit the study server streams over the wire (one NDJSON
+        line per point); ``from_dict(to_dict())`` compares equal, report
+        samples included.
+        """
+        return {
+            "index": self.index,
+            "coords": [[path, value] for path, value in self.coords],
+            "spec": spec_to_wire(self.spec),
+            "report": report_to_wire(self.report),
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "SweepPoint":
+        """Rehydrate a point (spec and report rebuilt from tagged envelopes)."""
+        return cls(
+            index=int(data["index"]),
+            coords=tuple((str(path), value) for path, value in data["coords"]),
+            spec=spec_from_wire(data["spec"]),
+            report=report_from_wire(data["report"]),
+        )
 
 
 @dataclass
@@ -90,9 +161,7 @@ def _valid_report(report: Any) -> bool:
     return isinstance(report, (DelayReport, DesignReport))
 
 
-def _make_point(task: SweepTask, report: Any) -> "SweepPoint":
-    from repro.api.sweep import SweepPoint
-
+def _make_point(task: SweepTask, report: Any) -> SweepPoint:
     return SweepPoint(task.index, task.coords, task.spec, report)
 
 
@@ -153,24 +222,52 @@ def create_pool(n_jobs: int):
     return pool, None
 
 
+_WORKER_SESSION: "Session | None" = None
+
+
+def _worker_session(technology, root_seed: int) -> "Session":
+    """The per-worker-process session, rebuilt only when its parameters change.
+
+    The worker session mirrors the dispatching session's technology and
+    root seed (shipped with each payload), so parallel runs return the same
+    numbers as serial ones; reuse across payloads is what lets one worker
+    share cached pipelines and characterisations over many sweep points.
+    """
+    global _WORKER_SESSION
+    if (
+        _WORKER_SESSION is None
+        or _WORKER_SESSION.technology != technology
+        or _WORKER_SESSION.root_seed != root_seed
+    ):
+        from repro.api.session import Session
+
+        _WORKER_SESSION = Session(technology=technology, root_seed=root_seed)
+    return _WORKER_SESSION
+
+
 def _robust_worker(payload: tuple) -> tuple:
     """Process-pool entrypoint: one attempt of one point, errors as data.
 
-    Shares ``repro.api.sweep._worker_session``'s per-process session (one
-    session per worker, rebuilt only when technology or root seed change)
-    but never raises: failures come back as structured ``("err", ...)``
-    tuples so the coordinator can retry without losing the exception detail
-    across the process boundary.
+    Runs on the per-process :func:`_worker_session` and never raises:
+    failures come back as structured ``("err", ...)`` tuples so the
+    coordinator can retry without losing the exception detail across the
+    process boundary.  With a checkpoint directory in the payload, a report
+    that passes validation is written to the store here, and the trailing
+    ``wrote`` flag of the ``("ok", ...)`` tuple tells the coordinator to
+    count it.
     """
-    index, spec, technology, root_seed, fault = payload
+    index, spec, technology, root_seed, fault, checkpoint_dir = payload
     start = time.monotonic()
     try:
-        from repro.api.sweep import _worker_session
-
         session = _worker_session(technology, root_seed)
         corrupt = apply_fault(fault, parallel=True)
         report = CORRUPTED_RESULT if corrupt else session.run(spec)
-        return ("ok", index, report, time.monotonic() - start)
+        wrote = checkpoint_dir is not None and _valid_report(report)
+        if wrote:
+            CheckpointStore(checkpoint_dir).put(
+                resolved_store_spec(spec, session), report
+            )
+        return ("ok", index, report, time.monotonic() - start, wrote)
     except Exception as exc:
         return (
             "err",
@@ -202,7 +299,7 @@ class _Engine:
             else None
         )
         self.start = time.monotonic()
-        self.points: list["SweepPoint"] = []
+        self.points: list[SweepPoint] = []
         self.failures: list[PointFailure] = []
 
     # -- shared helpers -------------------------------------------------
@@ -359,6 +456,7 @@ class _Engine:
                 self.session.technology,
                 self.session.root_seed,
                 self.fault_for(state.task.index, state.attempt),
+                self.policy.checkpoint_dir,
             )
             state.started = time.monotonic()
             inflight[pool.submit(_robust_worker, payload)] = state
@@ -444,9 +542,9 @@ class _Engine:
                         attempt_failed(state, exc, elapsed)
                         continue
                     if result[0] == "ok":
-                        report = result[2]
+                        _, _, report, w_elapsed, wrote = result
                         if _valid_report(report):
-                            self.checkpoint_write(state, report)
+                            self.trace.checkpoint_writes += wrote
                             self.points.append(_make_point(state.task, report))
                         else:
                             attempt_failed(
@@ -456,7 +554,7 @@ class _Engine:
                                     f"corrupted result "
                                     f"({type(report).__name__}, not a report)"
                                 ),
-                                result[3],
+                                w_elapsed,
                             )
                     else:
                         _, _, error_type, message, tb_text, w_elapsed = result
@@ -572,11 +670,11 @@ def execute_tasks(
     policy: ExecutionPolicy | None = None,
     n_jobs: int | None = None,
     fault_plan: FaultPlan | None = None,
-) -> tuple[list["SweepPoint"], list[PointFailure], ExecutionTrace]:
+) -> tuple[list[SweepPoint], list[PointFailure], ExecutionTrace]:
     """Evaluate sweep tasks under a policy; never raises for point failures.
 
     Returns ``(points, failures, trace)``: successful
-    :class:`~repro.api.sweep.SweepPoint` s (sweep order), structured
+    :class:`SweepPoint` s (sweep order), structured
     :class:`~repro.robust.failures.PointFailure` s for every point that
     exhausted its attempts, and the
     :class:`~repro.robust.failures.ExecutionTrace` of what the engine did.

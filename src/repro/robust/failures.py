@@ -131,10 +131,13 @@ class ExecutionTrace:
     determinism comparison -- compare :meth:`deterministic_dict` instead.
     """
 
-    pool_kind: str = "serial"  #: ``"process"``, ``"shard"`` or ``"serial"``
+    #: ``"process"`` (``n_jobs`` pool), ``"serial"``, or ``"shard"`` for a
+    #: result merged from ``python -m repro.robust.shard`` outputs
+    pool_kind: str = "serial"
     fallback_reason: str | None = None  #: why a requested pool degraded to serial
     n_jobs: int | None = None
-    n_shards: int | None = None  #: shard-runner fan-out, if one was used
+    #: shard count of a ``python -m repro.robust.shard`` run or merge
+    n_shards: int | None = None
     n_points: int = 0
     n_completed: int = 0
     n_failed: int = 0
@@ -171,10 +174,11 @@ class ExecutionTrace:
         """Fold another trace's counters into this one.
 
         This is how the study server folds per-batch traces into one
-        stream-level trace and how the shard runner folds per-shard traces
-        into the merged result's: additive counters accumulate, flags OR,
-        and the first recorded fallback reason wins.  ``pool_kind`` tracks
-        the most recent part (the shard runner overwrites it afterwards).
+        stream-level trace and how the shard CLI's ``merge`` folds
+        per-shard traces into the merged result's: additive counters
+        accumulate, flags OR, and the first recorded fallback reason wins.
+        ``pool_kind`` tracks the most recent part (``merge`` overwrites it
+        with ``"shard"`` afterwards).
         """
         self.pool_kind = part.pool_kind
         if part.fallback_reason and not self.fallback_reason:

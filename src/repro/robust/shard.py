@@ -1,12 +1,10 @@
-"""Shard-parallel sweep execution: one sweep split across OS processes.
+"""Split one sweep across machines: digest partition, shard CLI, exact merge.
 
-The statistical-design methodology is fundamentally a sweep -- Monte-Carlo
-yield characterisation repeated across scenario grids -- and a single
-process (even with the executor's per-point process pool) is the ceiling on
-how fast one sweep can go.  This module removes that ceiling by partitioning
-a sweep's tasks across *N shard workers* and merging their partial results
-into one :class:`~repro.api.sweep.SweepResult` bit-identical to serial
-execution:
+Inside one process a sweep fans out with ``n_jobs`` (the executor's
+process pool).  This module is for the other case: one sweep split across
+independently-launched processes -- typically on several machines sharing
+a filesystem -- that merge into one :class:`~repro.api.sweep.SweepResult`
+bit-identical to serial execution:
 
 * **Partitioning is by content-addressed cache key.**  Every task is
   assigned to ``int(spec_digest, 16) % n_shards`` -- the same SHA-256 digest
@@ -18,13 +16,11 @@ execution:
   launcher of the same sweep computes the same partition.
 
 * **The checkpoint store is the only rendezvous.**  Each shard runs its
-  tasks through the existing :class:`~repro.robust.executor._Engine` with
+  tasks serially through :func:`~repro.robust.executor.execute_tasks` with
   ``policy.checkpoint_dir`` pointing at one shared store directory.
   Completed points are persisted as they finish; a shard that is killed and
   relaunched serves every already-stored point from disk (checkpoint hits)
-  and recomputes nothing.  Because shards agree *only* via the store, the
-  same sweep can be split across independently-launched OS processes -- or
-  machines sharing a filesystem -- with the standalone CLI::
+  and recomputes nothing::
 
       python -m repro.robust.shard run   sweep.json --store DIR --shard 0 --shards 2
       python -m repro.robust.shard run   sweep.json --store DIR --shard 1 --shards 2
@@ -38,13 +34,6 @@ execution:
   :class:`~repro.robust.failures.ExecutionTrace` s fold into one merged
   trace (``pool_kind="shard"``, ``n_shards=N``) whose checkpoint counters
   carry the exact resume accounting.
-
-In-process, :func:`run_sharded` is the engine behind
-``ScenarioSweep.run(shards=N)`` / ``run_sweep(shards=N)`` and the study
-server's ``shards`` sweep knob; a shard worker that dies (OOM, kill) is
-recovered by re-running its tasks in the coordinator process against the
-shared store -- completed points come back as hits, so a crash costs only
-the points that were genuinely lost.
 """
 
 from __future__ import annotations
@@ -52,28 +41,24 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import shutil
 import sys
-import tempfile
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.api.canonical import resolved_store_spec, spec_digest, spec_from_wire
-from repro.robust.executor import SweepTask, create_pool, execute_tasks
+from repro.robust.executor import SweepPoint, SweepTask, execute_tasks
 from repro.robust.failures import ExecutionTrace, PointFailure
-from repro.robust.faults import FaultPlan
 from repro.robust.policy import ExecutionPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.session import Session
-    from repro.api.sweep import SweepPoint
 
 
 def shard_for_digest(digest: str, n_shards: int) -> int:
     """The shard a content digest belongs to: ``int(digest, 16) % n_shards``.
 
-    Pure data -> data, shared by every launcher: the in-process runner, the
-    standalone CLI and any remote machine all agree on the partition because
-    it depends only on the spec's canonical bytes.
+    Pure data -> data, shared by every launcher: every CLI process on every
+    machine agrees on the partition because it depends only on the spec's
+    canonical bytes.
     """
     if n_shards < 1:
         raise ValueError(f"n_shards must be at least 1, got {n_shards}")
@@ -99,23 +84,6 @@ def partition_tasks(
     return shards
 
 
-def _shard_worker(payload: tuple) -> tuple:
-    """Process entrypoint: run one shard's tasks through the engine.
-
-    Reuses :func:`repro.api.sweep._worker_session`'s per-process session
-    (rebuilt only when technology or root seed change); the policy carries
-    the shared checkpoint directory, which is the only cross-shard state.
-    """
-    shard_id, tasks, technology, root_seed, policy, fault_plan = payload
-    from repro.api.sweep import _worker_session
-
-    session = _worker_session(technology, root_seed)
-    points, failures, trace = execute_tasks(
-        tasks, session, policy=policy, fault_plan=fault_plan
-    )
-    return shard_id, points, failures, trace
-
-
 def merge_shard_results(
     parts: Sequence[tuple[list, list, ExecutionTrace]],
     n_points: int,
@@ -127,7 +95,7 @@ def merge_shard_results(
     serial run -- per-point seeds are baked into the specs); traces fold
     additively into one ``pool_kind="shard"`` trace.
     """
-    points: list["SweepPoint"] = []
+    points: list[SweepPoint] = []
     failures: list[PointFailure] = []
     merged = ExecutionTrace(n_shards=n_shards, n_points=n_points)
     for part_points, part_failures, part_trace in parts:
@@ -140,140 +108,6 @@ def merge_shard_results(
     merged.n_completed = len(points)
     merged.n_failed = len(failures)
     return points, failures, merged
-
-
-def run_sharded(
-    tasks: list[SweepTask],
-    session: "Session",
-    shards: int,
-    policy: ExecutionPolicy | None = None,
-    fault_plan: FaultPlan | None = None,
-) -> tuple[list, list, ExecutionTrace]:
-    """Evaluate sweep tasks across ``shards`` worker processes.
-
-    Mirrors :func:`~repro.robust.executor.execute_tasks`'s contract --
-    returns ``(points, failures, trace)``, never raises for point failures
-    -- but fans whole shards out as processes, with a shared
-    :class:`~repro.robust.checkpoint.CheckpointStore` as the rendezvous.
-    When ``policy.checkpoint_dir`` is unset an ephemeral store directory is
-    created for the run (duplicate points still coalesce; kill/resume needs
-    a caller-provided directory to survive the process).  A shard process
-    that dies is re-run in this process against the shared store, so its
-    completed points are served as hits and only the lost ones recompute.
-    If no process pool can be created the shards run sequentially in
-    process (same store, same answer) and the trace records why.
-    """
-    import time
-
-    if shards < 1:
-        raise ValueError(f"shards must be at least 1, got {shards}")
-    policy = policy if policy is not None else ExecutionPolicy()
-    started = time.monotonic()
-    ephemeral_dir: str | None = None
-    if policy.checkpoint_dir is None:
-        ephemeral_dir = tempfile.mkdtemp(prefix="repro-shard-")
-        policy = policy.replace(checkpoint_dir=ephemeral_dir)
-    try:
-        partition = partition_tasks(tasks, session, shards)
-        occupied = [
-            (shard_id, shard_tasks)
-            for shard_id, shard_tasks in enumerate(partition)
-            if shard_tasks
-        ]
-        if len(occupied) <= 1:
-            # Zero or one occupied shard: the partition degenerates to one
-            # engine run; skip pool spin-up entirely.
-            points, failures, trace = execute_tasks(
-                tasks, session, policy=policy, fault_plan=fault_plan
-            )
-            merged = _rebrand_single(trace, shards)
-            merged.elapsed = time.monotonic() - started
-            return points, failures, merged
-
-        parts, merged = _run_shard_pool(
-            occupied, session, policy, fault_plan, shards
-        )
-        points, failures, trace = merge_shard_results(
-            parts, n_points=len(tasks), n_shards=shards
-        )
-        trace.fallback_reason = merged.fallback_reason or trace.fallback_reason
-        trace.n_worker_respawns += merged.n_worker_respawns
-        trace.n_jobs = merged.n_jobs
-        trace.pool_kind = merged.pool_kind
-        trace.elapsed = time.monotonic() - started
-        return points, failures, trace
-    finally:
-        if ephemeral_dir is not None:
-            shutil.rmtree(ephemeral_dir, ignore_errors=True)
-
-
-def _rebrand_single(trace: ExecutionTrace, shards: int) -> ExecutionTrace:
-    """A degenerate (<=1 occupied shard) run still reports shard identity."""
-    trace.n_shards = shards
-    trace.pool_kind = "shard" if shards > 1 else trace.pool_kind
-    return trace
-
-
-def _run_shard_pool(
-    occupied: list[tuple[int, list[SweepTask]]],
-    session: "Session",
-    policy: ExecutionPolicy,
-    fault_plan: FaultPlan | None,
-    shards: int,
-) -> tuple[list, ExecutionTrace]:
-    """Run the occupied shards on a process pool (or serially in process).
-
-    Returns ``(parts, coordinator_trace)`` where ``parts`` is one
-    ``(points, failures, trace)`` triple per occupied shard and the
-    coordinator trace carries pool-level facts (fallback reason, shard
-    process respawn-equivalents, fan-out).
-    """
-    coordinator = ExecutionTrace(
-        pool_kind="shard", n_jobs=len(occupied), n_shards=shards
-    )
-
-    def run_inline(shard_tasks: list[SweepTask]) -> tuple:
-        points, failures, trace = execute_tasks(
-            shard_tasks, session, policy=policy, fault_plan=fault_plan
-        )
-        return points, failures, trace
-
-    pool, reason = create_pool(len(occupied))
-    if pool is None:
-        coordinator.pool_kind = "serial"
-        coordinator.fallback_reason = reason
-        return [run_inline(shard_tasks) for _, shard_tasks in occupied], coordinator
-
-    parts_by_shard: dict[int, tuple] = {}
-    try:
-        futures = {
-            pool.submit(
-                _shard_worker,
-                (
-                    shard_id,
-                    shard_tasks,
-                    session.technology,
-                    session.root_seed,
-                    policy,
-                    fault_plan,
-                ),
-            ): (shard_id, shard_tasks)
-            for shard_id, shard_tasks in occupied
-        }
-        for future, (shard_id, shard_tasks) in futures.items():
-            try:
-                result_id, points, failures, trace = future.result()
-                parts_by_shard[result_id] = (points, failures, trace)
-            except Exception:
-                # The shard process died (kill fault, OOM, broken pool).
-                # Its completed points are already in the shared store, so a
-                # coordinator-side re-run serves them as hits and only
-                # recomputes what was genuinely lost.
-                coordinator.n_worker_respawns += 1
-                parts_by_shard[shard_id] = run_inline(shard_tasks)
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-    return [parts_by_shard[sid] for sid, _ in occupied], coordinator
 
 
 # ----------------------------------------------------------------------

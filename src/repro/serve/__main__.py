@@ -47,24 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-sweep-points", type=int, default=None, metavar="N"
     )
     parser.add_argument("--max-n-jobs", type=int, default=None, metavar="N")
-    parser.add_argument(
-        "--max-shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap on per-request sweep shard fan-out",
-    )
     parser.add_argument("--max-in-flight", type=int, default=None, metavar="N")
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "default shard fan-out for sweeps that do not request one "
-            "(per-request 'shards' wins; capped by --max-shards)"
-        ),
-    )
     return parser
 
 
@@ -87,10 +70,6 @@ def config_from_args(args: argparse.Namespace) -> ServeConfig:
             args.max_n_jobs if args.max_n_jobs is not None
             else defaults.max_n_jobs
         ),
-        max_shards=(
-            args.max_shards if args.max_shards is not None
-            else defaults.max_shards
-        ),
         max_in_flight=(
             args.max_in_flight if args.max_in_flight is not None
             else defaults.max_in_flight
@@ -101,7 +80,6 @@ def config_from_args(args: argparse.Namespace) -> ServeConfig:
         port=args.port,
         workers=args.workers,
         budgets=budgets,
-        sweep_shards=args.shards,
     )
 
 

@@ -8,9 +8,8 @@ any computation is admitted:
   ``max_validation_samples`` for design validations) bound the cost of a
   single characterisation;
 * ``max_sweep_points`` and the per-point sampling caps bound a streamed
-  sweep, and ``max_n_jobs`` / ``max_shards`` bound how much process fan-out
-  one request may ask the host for (per-point pool workers and shard
-  processes respectively);
+  sweep, and ``max_n_jobs`` bounds how many pool worker processes one
+  request may ask the host for;
 * ``max_in_flight`` is the backpressure valve: at most this many requests
   may be *computing* at once (coalesced duplicates waiting on someone
   else's in-flight computation are free), the rest get a structured
@@ -67,7 +66,6 @@ class ServeBudgets:
     max_validation_samples: int = 50_000
     max_sweep_points: int = 1_024
     max_n_jobs: int = 8
-    max_shards: int = 8
     max_in_flight: int = 256
     max_body_bytes: int = 8 * 1024 * 1024
 
@@ -77,7 +75,6 @@ class ServeBudgets:
             "max_validation_samples",
             "max_sweep_points",
             "max_n_jobs",
-            "max_shards",
             "max_in_flight",
             "max_body_bytes",
         ):
@@ -112,12 +109,7 @@ class ServeBudgets:
                 f"this tier's cap of {self.max_study_samples}",
             )
 
-    def check_sweep_size(
-        self,
-        n_points: int,
-        n_jobs: int | None,
-        shards: int | None = None,
-    ) -> None:
+    def check_sweep_size(self, n_points: int, n_jobs: int | None) -> None:
         """Validate a sweep's shape -- point count and fan-out -- alone.
 
         The point count can (and on the server, must) be computed from the
@@ -141,22 +133,10 @@ class ServeBudgets:
                 n_jobs,
                 f"n_jobs={n_jobs} exceeds this tier's cap of {self.max_n_jobs}",
             )
-        if shards is not None and shards > self.max_shards:
-            raise BudgetExceeded(
-                "max_shards",
-                self.max_shards,
-                shards,
-                f"shards={shards} exceeds this tier's cap of {self.max_shards}",
-            )
 
-    def check_sweep(
-        self,
-        specs: list,
-        n_jobs: int | None,
-        shards: int | None = None,
-    ) -> None:
+    def check_sweep(self, specs: list, n_jobs: int | None) -> None:
         """Validate a sweep submission: point count, fan-out, per-point caps."""
-        self.check_sweep_size(len(specs), n_jobs, shards)
+        self.check_sweep_size(len(specs), n_jobs)
         for spec in specs:
             self.check_spec(spec)
 
@@ -167,7 +147,6 @@ class ServeBudgets:
             "max_validation_samples": self.max_validation_samples,
             "max_sweep_points": self.max_sweep_points,
             "max_n_jobs": self.max_n_jobs,
-            "max_shards": self.max_shards,
             "max_in_flight": self.max_in_flight,
             "max_body_bytes": self.max_body_bytes,
         }

@@ -215,16 +215,13 @@ class Client:
         n_jobs: int | None = None,
         policy: ExecutionPolicy | None = None,
         chunk: int | None = None,
-        shards: int | None = None,
     ) -> Iterator[SweepEvent]:
         """``POST /v1/sweep``: yield :class:`SweepEvent` as the server streams.
 
         ``sweep`` is a :class:`~repro.api.sweep.ScenarioSweep` (or any
         object with ``base``/``axes``/``mode``/``seed_policy`` attributes).
         The iterator is driven by the socket: each ``next()`` blocks until
-        the server finishes another point.  ``shards`` asks the server to
-        run the sweep through the shard runner (mutually exclusive with
-        ``n_jobs``; capped by the server's ``max_shards`` budget).
+        the server finishes another point.
         """
         from repro.api.canonical import spec_to_wire
 
@@ -240,8 +237,6 @@ class Client:
             payload["policy"] = policy.to_dict()
         if chunk is not None:
             payload["chunk"] = chunk
-        if shards is not None:
-            payload["shards"] = shards
         response = self._request("POST", "/v1/sweep", payload)
         if response.status >= 400:
             raise _to_server_error(
@@ -269,14 +264,13 @@ class Client:
         n_jobs: int | None = None,
         policy: ExecutionPolicy | None = None,
         chunk: int | None = None,
-        shards: int | None = None,
     ):
         """Consume a whole stream into a local-identical ``SweepResult``."""
         from repro.api.sweep import SweepResult
 
         points, failures, trace = [], [], None
         for event in self.sweep(
-            sweep, n_jobs=n_jobs, policy=policy, chunk=chunk, shards=shards
+            sweep, n_jobs=n_jobs, policy=policy, chunk=chunk
         ):
             if event.kind == "point":
                 points.append(event.point)

@@ -13,7 +13,8 @@ local API uses -- the README's "storage or RPC" promise made real:
     :class:`~repro.api.design.DesignReport`.
 ``POST /v1/sweep``
     ``{"base": <tagged spec>, "axes": {...}, "mode", "seed_policy",
-    "n_jobs", "policy", "chunk"}``; answers with a chunked NDJSON stream --
+    "n_jobs", "policy", "chunk"}`` -- any other top-level key is a typed
+    400 ``InvalidSweep``; answers with a chunked NDJSON stream --
     one event per completed :class:`~repro.api.sweep.SweepPoint` (and per
     structured :class:`~repro.robust.failures.PointFailure`), then a final
     ``done`` event carrying the merged execution trace -- so clients see
@@ -38,8 +39,9 @@ Three production concerns shape the implementation:
   loop: computation is pushed to a thread pool, and the shared session is
   guarded by one lock (its caches are plain dicts).  Request concurrency
   therefore buys coalescing, caching and I/O overlap; *compute* fan-out
-  comes from the sweep executor's process pool (``n_jobs``), which releases
-  the session lock's thread while child processes work.
+  comes only from the sweep executor's process pool (``n_jobs``), which
+  releases the session lock's thread while child processes work.  (To
+  split one sweep across machines, use ``python -m repro.robust.shard``.)
 * **Backpressure and graceful drain.**  Admission is checked against
   :class:`~repro.serve.budgets.ServeBudgets` (sampling caps per tier, sweep
   size, ``max_in_flight``); excess load gets structured 429/413 envelopes
@@ -107,11 +109,6 @@ class ServeConfig:
         Points per executor batch in streamed sweeps; ``None`` picks 1 for
         serial sweeps (true per-point streaming) and ``4 * n_jobs`` for
         parallel ones (amortises pool spin-up per batch).
-    sweep_shards:
-        Default shard fan-out for sweeps that do not request one
-        themselves (``--shards`` on the command line); ``None`` leaves
-        sweeps unsharded unless the request asks.  Per-request ``shards``
-        always wins, and both are capped by ``budgets.max_shards``.
     drain_timeout:
         Seconds :meth:`StudyServer.shutdown` waits for in-flight work.
     """
@@ -121,7 +118,6 @@ class ServeConfig:
     workers: int = 8
     budgets: ServeBudgets = field(default_factory=ServeBudgets)
     stream_chunk: int | None = None
-    sweep_shards: int | None = None
     drain_timeout: float = 60.0
 
     def __post_init__(self) -> None:
@@ -130,10 +126,6 @@ class ServeConfig:
         if self.stream_chunk is not None and self.stream_chunk < 1:
             raise ValueError(
                 f"stream_chunk must be None or >= 1, got {self.stream_chunk}"
-            )
-        if self.sweep_shards is not None and self.sweep_shards < 1:
-            raise ValueError(
-                f"sweep_shards must be None or >= 1, got {self.sweep_shards}"
             )
         if self.drain_timeout <= 0.0:
             raise ValueError(
@@ -175,6 +167,12 @@ class ServerStats:
             "rejected_invalid": self.rejected_invalid,
             "errors": self.errors,
         }
+
+
+#: Every top-level key a ``POST /v1/sweep`` body may carry.
+_SWEEP_FIELDS = frozenset(
+    {"base", "axes", "mode", "seed_policy", "n_jobs", "policy", "chunk"}
+)
 
 
 class _Rejection(Exception):
@@ -529,7 +527,8 @@ class StudyServer:
         describes a combinatorially huge grid is rejected with a structured
         413 before a single point spec -- let alone the full task list -- is
         built.  Construction itself happens later, off the event loop, in
-        :meth:`_build_tasks`.
+        :meth:`_build_tasks`.  Unknown top-level keys are rejected, so a
+        misspelled field never silently runs a different sweep.
         """
         payload = request.json()
         if not isinstance(payload, Mapping) or "base" not in payload:
@@ -537,6 +536,16 @@ class StudyServer:
                 400,
                 "InvalidSweep",
                 'sweep body must be {"base": <tagged spec>, "axes": {...}, ...}',
+            )
+        unknown = sorted(set(payload) - _SWEEP_FIELDS)
+        if unknown:
+            self.stats.rejected_invalid += 1
+            raise _Rejection(
+                400,
+                "InvalidSweep",
+                f"unknown sweep field(s) {unknown}; "
+                f"expected a subset of {sorted(_SWEEP_FIELDS)}",
+                detail={"unknown_fields": unknown},
             )
         try:
             base = spec_from_wire(payload["base"])
@@ -551,16 +560,6 @@ class StudyServer:
             n_jobs = payload.get("n_jobs")
             if n_jobs is not None:
                 n_jobs = int(n_jobs)
-            shards = payload.get("shards", self.config.sweep_shards)
-            if shards is not None:
-                shards = int(shards)
-                if shards < 1:
-                    raise ValueError(f"shards must be >= 1, got {shards}")
-                if n_jobs is not None and n_jobs > 1 and shards > 1:
-                    raise ValueError(
-                        "shards and n_jobs are mutually exclusive; each "
-                        "shard already runs its tasks through a full engine"
-                    )
             policy = (
                 ExecutionPolicy.from_dict(payload["policy"])
                 if payload.get("policy") is not None
@@ -575,13 +574,13 @@ class StudyServer:
                 400, "InvalidSweep", f"not a valid sweep request: {exc}"
             ) from None
         try:
-            self.config.budgets.check_sweep_size(n_points, n_jobs, shards)
+            self.config.budgets.check_sweep_size(n_points, n_jobs)
         except BudgetExceeded as exc:
             self.stats.rejected_budget += 1
             raise _Rejection(
                 413, "BudgetExceeded", str(exc), detail=exc.detail()
             ) from None
-        return base, axes, mode, seed_policy, n_jobs, policy, chunk_size, shards
+        return base, axes, mode, seed_policy, n_jobs, policy, chunk_size
 
     def _build_tasks(self, base, axes, mode: str, seed_policy: str):
         """Worker-thread entrypoint: materialise an admitted sweep.
@@ -617,21 +616,6 @@ class StudyServer:
                 tasks, self.session, policy=policy, n_jobs=n_jobs
             )
 
-    def _run_sharded(self, tasks: list[SweepTask], shards: int, policy):
-        """Worker-thread entrypoint: a whole sweep through the shard runner.
-
-        Sharded sweeps run as one call (the shard partition is global to
-        the task list, so batching would defeat the digest-keyed split);
-        the session lock is held exactly as for a batch -- parallelism
-        lives in the shard processes.
-        """
-        from repro.robust.shard import run_sharded
-
-        with self._session_lock:
-            return run_sharded(
-                tasks, self.session, shards=shards, policy=policy
-            )
-
     async def _handle_sweep(
         self, request: HttpRequest, writer: asyncio.StreamWriter
     ) -> bool:
@@ -641,7 +625,7 @@ class StudyServer:
         but closing after a stream keeps the drain logic trivial; clients
         reconnect cheaply.
         """
-        base, axes, mode, seed_policy, n_jobs, policy, chunk_override, shards = (
+        base, axes, mode, seed_policy, n_jobs, policy, chunk_override = (
             self._parse_sweep(request)
         )
         self._admit()
@@ -659,9 +643,7 @@ class StudyServer:
                     400, "InvalidSweep", f"not a valid sweep request: {exc}"
                 ) from None
             try:
-                self.config.budgets.check_sweep(
-                    [t.spec for t in tasks], n_jobs, shards
-                )
+                self.config.budgets.check_sweep([t.spec for t in tasks], n_jobs)
             except BudgetExceeded as exc:
                 self.stats.rejected_budget += 1
                 raise _Rejection(
@@ -687,68 +669,36 @@ class StudyServer:
                     )
                 )
                 await writer.drain()
-                if shards is not None and shards > 1:
-                    # Sharded: the digest-keyed partition is global to the
-                    # task list, so the whole sweep runs as one call and the
-                    # completed points stream afterwards in batch-sized
-                    # writes (drain fairness, not incremental compute).
+                for offset in range(0, len(tasks), batch):
                     points, failures, trace = await loop.run_in_executor(
-                        self._executor, self._run_sharded, tasks, shards, policy
+                        self._executor,
+                        self._run_batch,
+                        tasks[offset : offset + batch],
+                        n_jobs,
+                        policy,
                     )
                     merged.merge(trace)
-                    merged.pool_kind = trace.pool_kind
-                    merged.n_shards = trace.n_shards
-                    for offset in range(0, len(points), batch):
-                        for point in points[offset : offset + batch]:
-                            self.stats.points_streamed += 1
-                            writer.write(
-                                chunk(
-                                    event_line(
-                                        {"event": "point", "point": point.to_dict()}
-                                    )
+                    for point in points:
+                        self.stats.points_streamed += 1
+                        writer.write(
+                            chunk(
+                                event_line(
+                                    {"event": "point", "point": point.to_dict()}
                                 )
                             )
-                        await writer.drain()
+                        )
                     for failure in failures:
                         writer.write(
                             chunk(
                                 event_line(
-                                    {"event": "failure", "failure": failure.to_dict()}
+                                    {
+                                        "event": "failure",
+                                        "failure": failure.to_dict(),
+                                    }
                                 )
                             )
                         )
                     await writer.drain()
-                else:
-                    for offset in range(0, len(tasks), batch):
-                        points, failures, trace = await loop.run_in_executor(
-                            self._executor,
-                            self._run_batch,
-                            tasks[offset : offset + batch],
-                            n_jobs,
-                            policy,
-                        )
-                        merged.merge(trace)
-                        for point in points:
-                            self.stats.points_streamed += 1
-                            writer.write(
-                                chunk(
-                                    event_line(
-                                        {"event": "point", "point": point.to_dict()}
-                                    )
-                                )
-                            )
-                        for failure in failures:
-                            writer.write(
-                                chunk(
-                                    event_line(
-                                        {
-                                            "event": "failure",
-                                            "failure": failure.to_dict(),
-                                        }
-                                    )
-                                )
-                            )
-                        await writer.drain()
                 merged.elapsed = time.monotonic() - started
                 writer.write(
                     chunk(event_line({"event": "done", "trace": merged.to_dict()}))

@@ -7,18 +7,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-import repro.api.sweep as sweep_module
+import repro.robust.executor as executor_module
 from repro.api.session import Session, Study, derive_seed
 from repro.api.spec import AnalysisSpec, PipelineSpec, StudySpec, VariationSpec
-from repro.api.sweep import (
-    ScenarioSweep,
-    SweepPoint,
-    _evaluate_point,
-    _worker_session,
-    apply_axis,
-    run_sweep,
-)
+from repro.api.sweep import ScenarioSweep, SweepPoint, apply_axis, run_sweep
 from repro.process.technology import default_technology
+from repro.robust.executor import _robust_worker, _worker_session
 
 
 @pytest.fixture(scope="module")
@@ -280,12 +274,12 @@ class TestWorkerSessionReuse:
 
     @pytest.fixture(autouse=True)
     def fresh_worker_state(self, monkeypatch):
-        monkeypatch.setattr(sweep_module, "_WORKER_SESSION", None)
+        monkeypatch.setattr(executor_module, "_WORKER_SESSION", None)
 
     def test_reused_for_identical_parameters(self):
         technology = default_technology()
         first = _worker_session(technology, 7)
-        assert sweep_module._WORKER_SESSION is first
+        assert executor_module._WORKER_SESSION is first
         assert _worker_session(technology, 7) is first
 
     def test_rebuilt_on_root_seed_change(self):
@@ -294,7 +288,7 @@ class TestWorkerSessionReuse:
         second = _worker_session(technology, 8)
         assert second is not first
         assert second.root_seed == 8
-        assert sweep_module._WORKER_SESSION is second
+        assert executor_module._WORKER_SESSION is second
 
     def test_rebuilt_on_technology_change(self):
         technology = default_technology()
@@ -307,15 +301,15 @@ class TestWorkerSessionReuse:
         third = _worker_session(technology, 7)
         assert third is not second
 
-    def test_evaluate_point_runs_on_the_worker_session(self, base_spec):
-        payload = (0, (("pipeline.n_stages", 2),), base_spec,
-                   default_technology(), 7)
-        point = _evaluate_point(payload)
-        worker = sweep_module._WORKER_SESSION
+    def test_robust_worker_runs_on_the_worker_session(self, base_spec):
+        payload = (0, base_spec, default_technology(), 7, None, None)
+        status, index, report, _, wrote = _robust_worker(payload)
+        assert (status, index, wrote) == ("ok", 0, False)
+        worker = executor_module._WORKER_SESSION
         assert worker is not None and worker.root_seed == 7
-        assert point.report == Session().analyze(base_spec)
+        assert report == Session().analyze(base_spec)
         # a second payload with the same parameters reuses the session: the
         # cached report object comes back identically (not just equal)
-        again = _evaluate_point(payload)
-        assert again.report is point.report
-        assert sweep_module._WORKER_SESSION is worker
+        again = _robust_worker(payload)[2]
+        assert again is report
+        assert executor_module._WORKER_SESSION is worker

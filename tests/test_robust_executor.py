@@ -15,11 +15,14 @@ from repro.api.session import Session
 from repro.api.spec import AnalysisSpec, PipelineSpec, StudySpec, VariationSpec
 from repro.api.sweep import ScenarioSweep
 from repro.robust import (
+    CORRUPTED_RESULT,
+    CheckpointStore,
     ExecutionPolicy,
     FaultPlan,
     FaultSpec,
     SweepExecutionError,
     execute_tasks,
+    resolved_store_spec,
 )
 from repro.robust.executor import SweepTask
 from repro.verify.scenarios import builtin_corpus
@@ -154,13 +157,32 @@ class TestParallelEngine:
         assert result.trace.pool_kind == "process"
         assert result.trace.n_retries >= 1
 
-    def test_corrupt_result_caught_by_validation(self, base_spec, reference):
+    def test_corrupt_result_caught_by_validation(
+        self, base_spec, reference, tmp_path
+    ):
         plan = FaultPlan((FaultSpec(point=3, kind="corrupt", attempts=1),))
-        result = ScenarioSweep(base_spec, AXES).run(
-            n_jobs=2, policy=FAST_RETRY, fault_plan=plan
-        )
-        assert not result.failures
-        assert result.reports() == reference.reports()
+        store_dir = tmp_path / "store"
+        for checkpoint_dir in (None, str(store_dir)):
+            result = ScenarioSweep(base_spec, AXES).run(
+                n_jobs=2,
+                policy=FAST_RETRY.replace(checkpoint_dir=checkpoint_dir),
+                fault_plan=plan,
+            )
+            assert not result.failures
+            assert result.reports() == reference.reports()
+            if checkpoint_dir is None:
+                continue
+            # Workers write their own checkpoints, but only after validation:
+            # the corrupted first attempt never reaches the store.
+            files = list(store_dir.rglob("*.json"))
+            assert len(files) == len(reference)
+            assert not any(CORRUPTED_RESULT in f.read_text() for f in files)
+            store = CheckpointStore(store_dir)
+            for point in reference:
+                stored = store.get(resolved_store_spec(point.spec, Session()))
+                assert stored == point.report
+            assert result.trace.checkpoint_hits == 0
+            assert result.trace.checkpoint_writes == len(reference)
 
     @pytest.mark.slow
     def test_killed_worker_respawns_pool_and_recovers(self, base_spec, reference):
@@ -205,6 +227,30 @@ class TestParallelEngine:
         assert [f.index for f in serial.failures] == [
             f.index for f in parallel.failures
         ] == [2]
+
+    def test_parallel_failures_match_serial(self, base_spec):
+        # A failure finalised in a pool worker is rebuilt from the strings
+        # it shipped back; it must match the serial record field for field.
+        plan = FaultPlan((FaultSpec(point=1, kind="raise", attempts=-1),))
+        serial = ScenarioSweep(base_spec, AXES).run(
+            session=Session(), policy=ExecutionPolicy(), fault_plan=plan
+        )
+        parallel = ScenarioSweep(base_spec, AXES).run(
+            session=Session(), n_jobs=2, policy=ExecutionPolicy(), fault_plan=plan
+        )
+        assert point_identity(parallel) == point_identity(serial)
+
+        def failure_identity(result):
+            # everything except the wall-clock elapsed and the traceback,
+            # whose frames differ between the serial and worker call stacks
+            records = [f.to_dict() for f in result.failures]
+            for record in records:
+                record.pop("elapsed")
+                record.pop("traceback")
+            return records
+
+        assert failure_identity(parallel) == failure_identity(serial)
+        assert parallel.trace.n_failed == serial.trace.n_failed == 1
 
 
 class TestCheckpointResume:
@@ -261,7 +307,15 @@ class TestCheckpointResume:
             session=Session(), n_jobs=2, policy=policy
         )
         assert resumed.trace.checkpoint_hits == 2
+        assert resumed.trace.checkpoint_writes == 2  # written by the workers
         assert point_identity(resumed) == point_identity(reference)
+        # A second resume finds every point stored and recomputes nothing.
+        again = ScenarioSweep(base_spec, AXES).run(
+            session=Session(), n_jobs=2, policy=policy
+        )
+        assert (again.trace.checkpoint_hits, again.trace.checkpoint_writes) == (4, 0)
+        assert again.trace.pool_kind == "serial"  # nothing left to submit
+        assert point_identity(again) == point_identity(reference)
 
     def test_deferred_seeds_resolve_before_keying(self, tmp_path, base_spec):
         """None-seed sweeps under different session roots must not collide."""

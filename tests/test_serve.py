@@ -371,54 +371,33 @@ class TestSweepStreaming:
             assert follow_up.health()["status"] == "ok"
 
 
-class TestShardedSweep:
-    """The sweep endpoint's ``shards`` knob: shard-run server side, same bytes."""
+class TestSweepFields:
+    """Unknown top-level sweep keys are a typed 400, never a silent skip."""
 
-    def test_sharded_stream_is_byte_identical_to_local_serial(
-        self, server, client
-    ):
-        axes = {"analysis.n_samples": [100, 150, 200], "analysis.seed": [1, 2]}
-        local = run_sweep(SMALL, axes, session=Session())
-        served = client.sweep_result(ScenarioSweep(SMALL, axes), shards=2)
-        assert json.dumps([p.to_dict() for p in served]) == json.dumps(
-            [p.to_dict() for p in local]
+    @staticmethod
+    def post_sweep(server, **extra):
+        body = {
+            "base": spec_to_wire(SMALL),
+            "axes": {"analysis.seed": [1, 2]},
+            **extra,
+        }
+        return raw_request(
+            server, "POST", "/v1/sweep", body=json.dumps(body).encode()
         )
-        assert served.trace.n_shards == 2
-        assert served.trace.pool_kind in ("shard", "serial")
 
-    def test_shards_beyond_budget_rejected_with_structured_413(self, client):
-        with pytest.raises(ServerError) as excinfo:
-            client.sweep_result(
-                ScenarioSweep(SMALL, {"analysis.seed": [1, 2]}), shards=99
-            )
-        assert excinfo.value.status == 413
-        assert excinfo.value.error_type == "BudgetExceeded"
-        assert excinfo.value.detail["budget"] == "max_shards"
-        assert excinfo.value.detail == {"budget": "max_shards", "limit": 8, "got": 99}
+    def test_shards_field_rejected_as_invalid(self, server):
+        status, payload = self.post_sweep(server, shards=2)
+        assert (status, payload["error"]["type"]) == (400, "InvalidSweep")
+        assert "'shards'" in payload["error"]["message"]
+        assert payload["error"]["detail"] == {"unknown_fields": ["shards"]}
+        assert server.server.stats.rejected_invalid == 1
+        assert server.server.stats.streams == 0
 
-    def test_shards_and_n_jobs_rejected_as_invalid(self, client):
-        with pytest.raises(ServerError) as excinfo:
-            client.sweep_result(
-                ScenarioSweep(SMALL, {"analysis.seed": [1, 2]}),
-                shards=2,
-                n_jobs=2,
-            )
-        assert excinfo.value.status == 400
-        assert "mutually exclusive" in str(excinfo.value)
-
-    def test_server_default_shards_applies_when_request_is_silent(self):
-        axes = {"analysis.seed": [1, 2, 3]}
-        local = run_sweep(SMALL, axes, session=Session())
-        with BackgroundServer(
-            config=ServeConfig(sweep_shards=2)
-        ) as background:
-            with Client(background.host, background.port) as c:
-                served = c.sweep_result(ScenarioSweep(SMALL, axes))
-        assert served.trace.n_shards == 2
-        assert list(served) == list(local)
-
-    def test_stats_reports_max_shards_budget(self, client):
-        assert client.stats()["budgets"]["max_shards"] == 8
+    def test_misspelled_field_rejected_as_invalid(self, server):
+        status, payload = self.post_sweep(server, n_job=2)
+        assert (status, payload["error"]["type"]) == (400, "InvalidSweep")
+        assert payload["error"]["detail"] == {"unknown_fields": ["n_job"]}
+        assert server.server.stats.streams == 0
 
 
 class TestClientRetry:

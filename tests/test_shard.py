@@ -1,7 +1,7 @@
-"""Shard-parallel sweeps: digest partition, exact merge, kill/resume, CLI.
+"""Sharded sweeps: digest partition, exact merge, kill/resume, CLI.
 
-The shard runner's whole contract is *bit-identity*: however a sweep is
-split -- 1, 2 or 3 shards, in-process pool or independently-launched CLI
+The shard CLI's whole contract is *bit-identity*: however a sweep is
+split -- 1, 2 or 3 shards, run in process or as independently-launched CLI
 processes, killed and resumed -- the merged result must equal an
 uninterrupted serial run, point for point, byte for byte.  Every test here
 compares against the serial reference rather than asserting shapes.  The
@@ -23,12 +23,12 @@ import pytest
 from repro.api.canonical import resolved_store_spec, spec_digest, spec_to_wire
 from repro.api.session import Session
 from repro.api.spec import AnalysisSpec, PipelineSpec, StudySpec, VariationSpec
-from repro.api.sweep import ScenarioSweep, SweepResult, run_sweep
-from repro.robust import ExecutionPolicy, FaultPlan, FaultSpec
+from repro.api.sweep import ScenarioSweep, SweepResult
+from repro.robust import ExecutionPolicy, FaultPlan, FaultSpec, execute_tasks
 from repro.robust.shard import (
+    main as shard_main,
     merge_shard_results,
     partition_tasks,
-    run_sharded,
     shard_for_digest,
 )
 
@@ -107,36 +107,47 @@ class TestPartition:
             assert len(occupied) == 1
 
 
+def run_shards(tasks, session, n_shards, policy=None, fault_plan=None):
+    """Every shard of a partition run serially in this process, then merged.
+
+    This is the library path of ``python -m repro.robust.shard run`` (one
+    serial ``execute_tasks`` per shard) followed by ``merge``, minus the
+    subprocesses and the JSON files.
+    """
+    parts = [
+        execute_tasks(shard_tasks, session, policy=policy, fault_plan=fault_plan)
+        for shard_tasks in partition_tasks(tasks, session, n_shards)
+    ]
+    points, failures, trace = merge_shard_results(
+        parts, n_points=len(tasks), n_shards=n_shards
+    )
+    return SweepResult(points, failures=failures, trace=trace)
+
+
 class TestShardedRun:
     @pytest.mark.parametrize("shards", [2, 3])
     def test_merged_result_is_bit_identical_to_serial(
         self, base_spec, reference, shards
     ):
-        result = ScenarioSweep(base_spec, AXES).run(
-            session=Session(), shards=shards
-        )
+        session = Session()
+        tasks = ScenarioSweep(base_spec, AXES).tasks(session)
+        result = run_shards(tasks, session, shards)
         assert point_identity(result) == point_identity(reference)
         assert not result.failures
         assert result.trace.n_shards == shards
-        assert result.trace.pool_kind in ("shard", "serial")
-
-    def test_run_sweep_facade_accepts_shards(self, base_spec, reference):
-        result = run_sweep(base_spec, AXES, session=Session(), shards=2)
-        assert point_identity(result) == point_identity(reference)
-
-    def test_shards_and_n_jobs_are_mutually_exclusive(self, base_spec):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            ScenarioSweep(base_spec, AXES).run(shards=2, n_jobs=2)
+        assert result.trace.pool_kind == "shard"
 
     def test_failures_merge_bit_identical_to_serial(self, base_spec):
         # The same injected fault produces the same structured failure
-        # whether the point runs serially or inside a shard process.
+        # whether the point runs in one serial sweep or inside a shard.
         plan = FaultPlan((FaultSpec(point=1, kind="raise", attempts=-1),))
         serial = ScenarioSweep(base_spec, AXES).run(
             session=Session(), policy=ExecutionPolicy(), fault_plan=plan
         )
-        sharded = ScenarioSweep(base_spec, AXES).run(
-            session=Session(), policy=ExecutionPolicy(), fault_plan=plan, shards=2
+        session = Session()
+        tasks = ScenarioSweep(base_spec, AXES).tasks(session)
+        sharded = run_shards(
+            tasks, session, 2, policy=ExecutionPolicy(), fault_plan=plan
         )
         assert point_identity(sharded) == point_identity(serial)
 
@@ -151,48 +162,36 @@ class TestShardedRun:
         assert sharded.trace.n_failed == serial.trace.n_failed == 1
 
     def test_duplicates_coalesce_within_their_shard(self, base_spec, tmp_path):
+        # Equal digests land on one shard; a CLI run of that shard computes
+        # the point once and serves the duplicates from the store.
+        axes = {"variation.sigma_scale": [0.5, 0.5, 0.5]}
+        payload = {
+            "base": spec_to_wire(base_spec),
+            "axes": axes,
+            "mode": "zip",
+            "seed_policy": "fixed",
+        }
+        req = tmp_path / "sweep.json"
+        req.write_text(json.dumps(payload))
         session = Session()
-        sweep = ScenarioSweep(
-            base_spec,
-            {"variation.sigma_scale": [0.5, 0.5, 0.5]},
-            mode="zip",
-            seed_policy="fixed",
-        )
-        result = sweep.run(
-            session=session,
-            policy=ExecutionPolicy(checkpoint_dir=str(tmp_path)),
-            shards=2,
-        )
+        tasks = ScenarioSweep(
+            base_spec, axes, mode="zip", seed_policy="fixed"
+        ).tasks(session)
+        (shard,) = [
+            k for k, part in enumerate(partition_tasks(tasks, session, 2)) if part
+        ]
+        out = tmp_path / "shard.json"
+        assert shard_main([
+            "run", str(req), "--store", str(tmp_path / "store"),
+            "--shards", "2", "--shard", str(shard), "--out", str(out),
+        ]) == 0
+        result = SweepResult.from_json(out.read_text())
         assert len(result) == 3
         reports = [p.report for p in result]
         assert reports[0] == reports[1] == reports[2]
         # one computed + two checkpoint hits, never three computations
         assert result.trace.checkpoint_writes == 1
         assert result.trace.checkpoint_hits == 2
-
-    def test_ephemeral_store_is_cleaned_up(self, base_spec, tmp_path, monkeypatch):
-        import tempfile as tempfile_module
-
-        monkeypatch.setattr(tempfile_module, "tempdir", str(tmp_path))
-        result = ScenarioSweep(base_spec, AXES).run(session=Session(), shards=2)
-        assert len(result) == 4
-        leftovers = [p for p in tmp_path.iterdir() if p.name.startswith("repro-shard-")]
-        assert leftovers == []
-
-    def test_resume_from_shared_store_recomputes_nothing(
-        self, base_spec, reference, tmp_path
-    ):
-        policy = ExecutionPolicy(checkpoint_dir=str(tmp_path))
-        first = ScenarioSweep(base_spec, AXES).run(
-            session=Session(), policy=policy, shards=2
-        )
-        assert first.trace.checkpoint_writes == 4
-        second = ScenarioSweep(base_spec, AXES).run(
-            session=Session(), policy=policy, shards=2
-        )
-        assert point_identity(second) == point_identity(reference)
-        assert second.trace.checkpoint_hits == 4
-        assert second.trace.checkpoint_writes == 0
 
     def test_merge_shard_results_reassembles_index_order(self):
         from repro.robust.failures import ExecutionTrace, PointFailure
