@@ -309,13 +309,6 @@ class TestCheckpointResume:
         assert resumed.trace.checkpoint_hits == 2
         assert resumed.trace.checkpoint_writes == 2  # written by the workers
         assert point_identity(resumed) == point_identity(reference)
-        # A second resume finds every point stored and recomputes nothing.
-        again = ScenarioSweep(base_spec, AXES).run(
-            session=Session(), n_jobs=2, policy=policy
-        )
-        assert (again.trace.checkpoint_hits, again.trace.checkpoint_writes) == (4, 0)
-        assert again.trace.pool_kind == "serial"  # nothing left to submit
-        assert point_identity(again) == point_identity(reference)
 
     def test_deferred_seeds_resolve_before_keying(self, tmp_path, base_spec):
         """None-seed sweeps under different session roots must not collide."""

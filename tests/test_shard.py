@@ -193,6 +193,22 @@ class TestShardedRun:
         assert result.trace.checkpoint_writes == 1
         assert result.trace.checkpoint_hits == 2
 
+    def test_resume_from_shared_store_recomputes_nothing(
+        self, base_spec, reference, tmp_path
+    ):
+        policy = ExecutionPolicy(checkpoint_dir=str(tmp_path))
+        first = ScenarioSweep(base_spec, AXES).run(
+            session=Session(), policy=policy, n_jobs=2
+        )
+        assert first.trace.checkpoint_writes == 4  # written by the workers
+        second = ScenarioSweep(base_spec, AXES).run(
+            session=Session(), policy=policy, n_jobs=2
+        )
+        assert point_identity(second) == point_identity(reference)
+        assert second.trace.checkpoint_hits == 4
+        assert second.trace.checkpoint_writes == 0
+        assert second.trace.pool_kind == "serial"  # nothing left to submit
+
     def test_merge_shard_results_reassembles_index_order(self):
         from repro.robust.failures import ExecutionTrace, PointFailure
 
