@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.process.technology import Technology
 
 
@@ -82,25 +84,55 @@ class Cell:
 
 
 class CellLibrary:
-    """A named collection of :class:`Cell` types."""
+    """A named collection of :class:`Cell` types.
+
+    Cells are numbered in construction order; :meth:`cell_id` gives a
+    cell's number and :attr:`coefficients` holds one array per coefficient
+    indexed by it, so a netlist turns a per-gate ``cell_id`` column into
+    per-gate coefficients with one gather.
+    """
 
     def __init__(self, cells: list[Cell]) -> None:
         self._cells: dict[str, Cell] = {}
+        self._ids: dict[str, int] = {}
         for cell in cells:
             if cell.name in self._cells:
                 raise ValueError(f"duplicate cell name {cell.name!r}")
+            self._ids[cell.name] = len(self._cells)
             self._cells[cell.name] = cell
+        table = list(self._cells.values())
+        self.coefficients: dict[str, np.ndarray] = {
+            name: np.array([getattr(c, name) for c in table], dtype=dtype)
+            for name, dtype in (
+                ("logical_effort", float),
+                ("parasitic_delay", float),
+                ("area_factor", float),
+                ("n_inputs", np.int64),
+            )
+        }
+        for column in self.coefficients.values():
+            column.flags.writeable = False
 
     def __contains__(self, name: str) -> bool:
         return name in self._cells
+
+    def _unknown(self, name: str) -> KeyError:
+        return KeyError(
+            f"unknown cell {name!r}; available cells: {sorted(self._cells)}"
+        )
 
     def __getitem__(self, name: str) -> Cell:
         try:
             return self._cells[name]
         except KeyError:
-            raise KeyError(
-                f"unknown cell {name!r}; available cells: {sorted(self._cells)}"
-            ) from None
+            raise self._unknown(name) from None
+
+    def cell_id(self, name: str) -> int:
+        """Row of the named cell in :attr:`coefficients`."""
+        try:
+            return self._ids[name]
+        except KeyError:
+            raise self._unknown(name) from None
 
     def __iter__(self):
         return iter(self._cells.values())

@@ -10,10 +10,21 @@ Design notes
 ------------
 * Gates and primary inputs are identified by string names; primary inputs
   are modelled as zero-delay sources.
-* The netlist caches index arrays (sizes, cell coefficients, fanin/fanout
-  index lists) used by the vectorised timing code; the caches are rebuilt
-  lazily whenever the structure changes and refreshed cheaply when only
-  sizes change.
+* Per-gate numbers live in NumPy columns, not in per-gate objects: a
+  :class:`GateColumns` store holds ``cell_id``, ``size``, ``x`` and ``y``
+  with one row per gate in insertion order, and is their only copy.  The
+  structural rebuild (lazy, after any structural change) computes the
+  topological order and a permutation ``_perm`` from topological position
+  to row, so :meth:`Netlist.sizes`, :meth:`Netlist.positions` and
+  :meth:`Netlist.set_sizes` are one gather or scatter each, and
+  :meth:`Netlist.cell_coefficients` is one gather by ``cell_id`` from the
+  library's coefficient table.  Size writes need no rebuild.
+* A :class:`Gate` is a slotted view of one row: ``name``, ``cell`` and
+  ``fanins`` are its own attributes, while ``size``, ``x`` and ``y`` read
+  and write the columns.  A view references the column store, never the
+  :class:`Netlist`: a back-reference would make every netlist a
+  reference cycle, which only the cyclic garbage collector frees, so
+  large netlists would outlive their last use and raise peak memory.
 * Placement is in normalised die coordinates ([0, 1] x [0, 1]).  A helper
   places gates by logic level inside an arbitrary rectangular region so a
   pipeline can lay its stages side by side across the die, which is what
@@ -21,8 +32,6 @@ Design notes
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,9 +78,65 @@ class NetlistLookupError(NetlistError, KeyError):
     __str__ = NetlistError.__str__
 
 
-@dataclass
+class GateColumns:
+    """Per-gate ``cell_id``/``size``/``x``/``y`` columns, one row per gate.
+
+    Rows are in insertion order.  The arrays grow by doubling, so only the
+    first ``n`` rows are live.
+    """
+
+    _COLUMNS = ("cell_id", "size", "x", "y")
+    __slots__ = ("n",) + _COLUMNS
+
+    def __init__(self, capacity: int = 16) -> None:
+        self.n = 0
+        self.cell_id = np.empty(capacity, dtype=np.intp)
+        self.size = np.empty(capacity)
+        self.x = np.empty(capacity)
+        self.y = np.empty(capacity)
+
+    def append(self, cell_id: int, size: float, x: float, y: float) -> int:
+        """Add one row and return its index."""
+        row = self.n
+        if row == self.size.shape[0]:
+            for column in self._COLUMNS:
+                old = getattr(self, column)
+                grown = np.empty(2 * row, dtype=old.dtype)
+                grown[:row] = old
+                setattr(self, column, grown)
+        self.cell_id[row] = cell_id
+        self.size[row] = size
+        self.x[row] = x
+        self.y[row] = y
+        self.n = row + 1
+        return row
+
+    def copy(self) -> "GateColumns":
+        """Independent copy of the live rows."""
+        clone = GateColumns(max(self.n, 1))  # non-empty, so appends can double it
+        for column in self._COLUMNS:
+            getattr(clone, column)[: self.n] = getattr(self, column)[: self.n]
+        clone.n = self.n
+        return clone
+
+
+class _Column:
+    """Descriptor exposing one :class:`GateColumns` column on a :class:`Gate`."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.column = name
+
+    def __get__(self, gate, owner=None):
+        if gate is None:
+            return self
+        return float(getattr(gate._columns, self.column)[gate._row])
+
+    def __set__(self, gate, value: float) -> None:
+        getattr(gate._columns, self.column)[gate._row] = value
+
+
 class Gate:
-    """One sized, placed cell instance.
+    """One sized, placed cell instance: a view of one netlist row.
 
     Attributes
     ----------
@@ -82,17 +147,38 @@ class Gate:
     fanins:
         Names of the driving nodes (gates or primary inputs), in pin order.
     size:
-        Drive strength in multiples of a minimum-size device.
+        Drive strength in multiples of a minimum-size device (writable;
+        stored in the netlist's size column).
     x, y:
-        Placement in normalised die coordinates.
+        Placement in normalised die coordinates (writable; stored in the
+        netlist's placement columns).
     """
 
-    name: str
-    cell: str
-    fanins: tuple[str, ...]
-    size: float = 1.0
-    x: float = 0.5
-    y: float = 0.5
+    __slots__ = ("name", "cell", "fanins", "_columns", "_row")
+
+    size = _Column()
+    x = _Column()
+    y = _Column()
+
+    def __init__(
+        self,
+        name: str,
+        cell: str,
+        fanins: tuple[str, ...],
+        columns: GateColumns,
+        row: int,
+    ) -> None:
+        self.name = name
+        self.cell = cell
+        self.fanins = fanins
+        self._columns = columns
+        self._row = row
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"Gate({self.name!r}, {self.cell!r}, fanins={self.fanins!r}, "
+            f"size={self.size!r}, x={self.x!r}, y={self.y!r})"
+        )
 
 
 class Netlist:
@@ -128,13 +214,18 @@ class Netlist:
         self.default_output_load = float(default_output_load)
 
         self._gates: dict[str, Gate] = {}
+        self._columns = GateColumns()
         self._primary_inputs: list[str] = []
+        # Membership beside the ordered list, so name checks are O(1).
+        self._pi_set: set[str] = set()
         self._primary_outputs: list[str] = []
         self._dirty = True
 
         # Caches built by _rebuild()
         self._order: list[str] = []
         self._index: dict[str, int] = {}
+        # Topological position -> row of the gate columns.
+        self._perm: np.ndarray = np.zeros(0, dtype=np.intp)
         self._fanin_indices: list[list[int]] = []
         self._fanout_indices: list[list[int]] = []
         self._is_po: np.ndarray = np.zeros(0, dtype=bool)
@@ -148,13 +239,14 @@ class Netlist:
     # ------------------------------------------------------------------
     def add_primary_input(self, name: str) -> None:
         """Declare a primary input node."""
-        if name in self._gates or name in self._primary_inputs:
+        if name in self._gates or name in self._pi_set:
             raise NetlistError(
                 f"node {name!r} already exists in netlist {self.name!r}",
                 netlist=self.name,
                 gate=name,
             )
         self._primary_inputs.append(name)
+        self._pi_set.add(name)
         self._dirty = True
 
     def add_gate(
@@ -176,7 +268,7 @@ class Netlist:
         :meth:`validate` or first structural query) rather than silently
         levelising wrong.
         """
-        if name in self._gates or name in self._primary_inputs:
+        if name in self._gates or name in self._pi_set:
             raise NetlistError(
                 f"duplicate gate name {name!r} in netlist {self.name!r}",
                 netlist=self.name,
@@ -200,7 +292,7 @@ class Netlist:
             )
         if not allow_forward:
             for fanin in fanins:
-                if fanin not in self._gates and fanin not in self._primary_inputs:
+                if fanin not in self._gates and fanin not in self._pi_set:
                     raise NetlistLookupError(
                         f"gate {name!r}: fanin {fanin!r} is not a known gate or "
                         f"primary input",
@@ -214,7 +306,8 @@ class Netlist:
                 netlist=self.name,
                 gate=name,
             )
-        gate = Gate(name=name, cell=cell, fanins=fanins, size=float(size), x=x, y=y)
+        row = self._columns.append(self.library.cell_id(cell), size, x, y)
+        gate = Gate(name, cell, fanins, self._columns, row)
         self._gates[name] = gate
         self._dirty = True
         return gate
@@ -286,7 +379,7 @@ class Netlist:
         order: list[str] = []
         index: dict[str, int] = {}
         in_degree: dict[str, int] = {}
-        pi_set = set(self._primary_inputs)
+        pi_set = self._pi_set
         dangling: list[tuple[str, str]] = []
         dependents: dict[str, list[str]] = {name: [] for name in self._primary_inputs}
         for gate in self._gates.values():
@@ -353,6 +446,9 @@ class Netlist:
 
         self._order = order
         self._index = index
+        self._perm = np.fromiter(
+            (self._gates[name]._row for name in order), dtype=np.intp, count=len(order)
+        )
         self._fanin_indices = fanin_indices
         self._fanout_indices = fanout_indices
         self._is_po = is_po
@@ -421,9 +517,9 @@ class Netlist:
     # Vectorised attribute access (topological indexing)
     # ------------------------------------------------------------------
     def sizes(self) -> np.ndarray:
-        """Gate sizes as an array in topological order."""
+        """Gate sizes as a new array in topological order."""
         self._ensure_current()
-        return np.array([self._gates[name].size for name in self._order])
+        return self._columns.size[self._perm]
 
     def set_sizes(self, sizes: np.ndarray) -> None:
         """Assign gate sizes from an array in topological order."""
@@ -435,15 +531,16 @@ class Netlist:
             )
         if np.any(sizes <= 0.0):
             raise ValueError("all gate sizes must be positive")
-        for name, size in zip(self._order, sizes):
-            self._gates[name].size = float(size)
+        self._columns.size[self._perm] = sizes
 
     def positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """Gate placement coordinates (x, y) in topological order."""
+        """Gate placement coordinates (x, y) as new arrays in topological order."""
         self._ensure_current()
-        xs = np.array([self._gates[name].x for name in self._order])
-        ys = np.array([self._gates[name].y for name in self._order])
-        return xs, ys
+        return self._columns.x[self._perm], self._columns.y[self._perm]
+
+    def _coefficient(self, name: str) -> np.ndarray:
+        """One library coefficient per gate (topological order)."""
+        return self.library.coefficients[name][self._columns.cell_id[self._perm]]
 
     def cell_coefficients(self) -> dict[str, np.ndarray]:
         """Per-gate cell coefficients (topological order).
@@ -452,13 +549,7 @@ class Netlist:
         ``area_factor`` and ``n_inputs``.
         """
         self._ensure_current()
-        cells = [self.library[self._gates[name].cell] for name in self._order]
-        return {
-            "logical_effort": np.array([c.logical_effort for c in cells]),
-            "parasitic_delay": np.array([c.parasitic_delay for c in cells]),
-            "area_factor": np.array([c.area_factor for c in cells]),
-            "n_inputs": np.array([c.n_inputs for c in cells]),
-        }
+        return {name: self._coefficient(name) for name in self.library.coefficients}
 
     def load_capacitances(self, sizes: np.ndarray | None = None) -> np.ndarray:
         """Output load of every gate in farads (topological order).
@@ -477,8 +568,7 @@ class Netlist:
             sizes = self.sizes()
         else:
             sizes = np.asarray(sizes, dtype=float)
-        coeffs = self.cell_coefficients()
-        pin_caps = coeffs["logical_effort"] * self.technology.c_unit * sizes
+        pin_caps = self._coefficient("logical_effort") * self.technology.c_unit * sizes
         schedule = self.timing_schedule()
         # Every fanin arc (source -> owner) contributes the owner's pin
         # capacitance to the source's load; one bincount sums them all.
@@ -505,9 +595,12 @@ class Netlist:
         self._ensure_current()
         if sizes is None:
             sizes = self.sizes()
-        coeffs = self.cell_coefficients()
         return float(
-            (coeffs["area_factor"] * self.technology.area_unit * np.asarray(sizes)).sum()
+            (
+                self._coefficient("area_factor")
+                * self.technology.area_unit
+                * np.asarray(sizes)
+            ).sum()
         )
 
     def logic_depth(self) -> int:
@@ -544,18 +637,14 @@ class Netlist:
         self._ensure_current()
         levels = self.levels()
         max_level = int(levels.max()) if len(levels) else 1
-        counts_per_level: dict[int, int] = {}
-        seen_per_level: dict[int, int] = {}
-        for level in levels:
-            counts_per_level[int(level)] = counts_per_level.get(int(level), 0) + 1
-        for name, level in zip(self._order, levels):
-            level = int(level)
-            position_in_level = seen_per_level.get(level, 0)
-            seen_per_level[level] = position_in_level + 1
-            count = counts_per_level[level]
-            gate = self._gates[name]
-            gate.x = x0 + (x1 - x0) * (level - 0.5) / max_level
-            gate.y = y0 + (y1 - y0) * (position_in_level + 0.5) / count
+        # Rank of each gate among its level's gates, in topological order.
+        by_level = np.argsort(levels, kind="stable")
+        counts = np.bincount(levels)
+        starts = np.cumsum(counts) - counts
+        rank = np.empty_like(levels)
+        rank[by_level] = np.arange(levels.shape[0]) - starts[levels[by_level]]
+        self._columns.x[self._perm] = x0 + (x1 - x0) * (levels - 0.5) / max_level
+        self._columns.y[self._perm] = y0 + (y1 - y0) * (rank + 0.5) / counts[levels]
 
     # ------------------------------------------------------------------
     # Copying
@@ -568,22 +657,14 @@ class Netlist:
             technology=self.technology,
             default_output_load=self.default_output_load,
         )
-        for pi in self._primary_inputs:
-            clone.add_primary_input(pi)
-        for gate in self._gates.values():
-            # Insertion order is not necessarily topological (parsers may add
-            # gates in file order), so defer fanin checks to the rebuild.
-            clone.add_gate(
-                gate.name,
-                gate.cell,
-                gate.fanins,
-                size=gate.size,
-                x=gate.x,
-                y=gate.y,
-                allow_forward=True,
-            )
-        for po in self._primary_outputs:
-            clone.mark_primary_output(po)
+        clone._primary_inputs = list(self._primary_inputs)
+        clone._pi_set = set(self._pi_set)
+        clone._primary_outputs = list(self._primary_outputs)
+        clone._columns = columns = self._columns.copy()
+        clone._gates = {
+            name: Gate(name, gate.cell, gate.fanins, columns, gate._row)
+            for name, gate in self._gates.items()
+        }
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

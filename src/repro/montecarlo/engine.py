@@ -133,30 +133,32 @@ class MonteCarloEngine:
     def _stage_delay_from_samples(
         self,
         stage: PipelineStage,
+        nominal: np.ndarray,
         vth: np.ndarray,
         length: np.ndarray,
-        workspace: np.ndarray | None = None,
+        workspace: np.ndarray,
     ) -> np.ndarray:
         """Stage delay samples given this stage's device parameter samples.
 
-        ``vth``/``length`` have one column per device: the stage's gates in
+        ``nominal`` is the stage's nominal gate-delay vector.  ``vth``/
+        ``length`` have one column per device: the stage's gates in
         topological order followed by the register device.  ``workspace`` is
-        an optional ``(n_chunk_samples, n_gates)`` arrival buffer reused
-        across sample chunks.
+        a flat arrival buffer of at least ``n_chunk_samples * n_gates``
+        floats, reused across stages and sample chunks.
         """
-        netlist = stage.netlist
-        n_gates = netlist.n_gates
-        gate_vth = vth[:, :n_gates]
-        gate_length = length[:, :n_gates]
+        n_gates = nominal.shape[0]
         register_vth = vth[:, n_gates]
         register_length = length[:, n_gates]
 
         if n_gates > 0:
-            delays = self.delay_model.delay_samples(netlist, gate_vth, gate_length)
-            if workspace is not None:
-                workspace = workspace[: delays.shape[0]]
+            delays = self.delay_model.delay_samples(
+                nominal, vth[:, :n_gates], length[:, :n_gates]
+            )
+            arrivals = workspace[: delays.size].reshape(delays.shape)
             comb = np.asarray(
-                max_delay(netlist, delays, out=workspace, kernel=self.kernel_config)
+                max_delay(
+                    stage.netlist, delays, out=arrivals, kernel=self.kernel_config
+                )
             )
         else:
             comb = np.zeros(vth.shape[0])
@@ -165,28 +167,50 @@ class MonteCarloEngine:
         )
         return comb + overhead
 
+    def _run_stages(self, stages: list[PipelineStage]) -> np.ndarray:
+        """Delay samples of ``stages``, shape ``(n_samples, len(stages))``.
+
+        One parameter draw per chunk covers every stage's devices, so the
+        stages share each sample's inter-die deviation and systematic field.
+        Everything that does not depend on the sample -- device sizes and
+        placement, nominal gate delays, the arrival workspace -- is
+        computed once per run, not once per chunk.  Stages run one after
+        another, so they share one workspace sized for the largest.
+        """
+        rng = self._rng()
+        chunks = self._chunk_counts()
+        devices = [self._stage_device_arrays(stage) for stage in stages]
+        sizes, xs, ys = (np.concatenate(column) for column in zip(*devices))
+        nominals = [self.delay_model.nominal_delays(stage.netlist) for stage in stages]
+        largest = max(nominal.shape[0] for nominal in nominals)
+        workspace = np.empty(chunks[0] * largest)
+
+        stage_delays = np.zeros((self.n_samples, len(stages)))
+        sample_offset = 0
+        for count in chunks:
+            samples = self.sampler.sample(sizes, xs, ys, count, rng)
+            device_offset = 0
+            for index, stage in enumerate(stages):
+                device_end = device_offset + devices[index][0].shape[0]
+                stage_delays[
+                    sample_offset : sample_offset + count, index
+                ] = self._stage_delay_from_samples(
+                    stage,
+                    nominals[index],
+                    samples.vth[:, device_offset:device_end],
+                    samples.length[:, device_offset:device_end],
+                    workspace,
+                )
+                device_offset = device_end
+            sample_offset += count
+        return stage_delays
+
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def run_stage(self, stage: PipelineStage) -> MonteCarloResult:
         """Monte-Carlo delay distribution of a single stage."""
-        rng = self._rng()
-        sizes, xs, ys = self._stage_device_arrays(stage)
-        delays = np.empty(self.n_samples)
-        chunks = self._chunk_counts()
-        workspace = (
-            np.empty((chunks[0], stage.netlist.n_gates))
-            if stage.netlist.n_gates > 0
-            else None
-        )
-        offset = 0
-        for count in chunks:
-            samples = self.sampler.sample(sizes, xs, ys, count, rng)
-            delays[offset : offset + count] = self._stage_delay_from_samples(
-                stage, samples.vth, samples.length, workspace
-            )
-            offset += count
-        return MonteCarloResult(delays, name=stage.name)
+        return MonteCarloResult(self._run_stages([stage])[:, 0], name=stage.name)
 
     def run_netlist(
         self, netlist: Netlist, flipflop: FlipFlopTiming | None = None
@@ -209,47 +233,7 @@ class MonteCarloEngine:
         field, so the measured cross-stage correlations reflect the variation
         model (and the stages' physical placement) rather than being imposed.
         """
-        rng = self._rng()
-        per_stage_device_counts: list[int] = []
-        all_sizes: list[np.ndarray] = []
-        all_x: list[np.ndarray] = []
-        all_y: list[np.ndarray] = []
-        for stage in pipeline.stages:
-            sizes, xs, ys = self._stage_device_arrays(stage)
-            per_stage_device_counts.append(sizes.shape[0])
-            all_sizes.append(sizes)
-            all_x.append(xs)
-            all_y.append(ys)
-
-        sizes = np.concatenate(all_sizes)
-        xs = np.concatenate(all_x)
-        ys = np.concatenate(all_y)
-
-        stage_delays = np.zeros((self.n_samples, pipeline.n_stages))
-        chunks = self._chunk_counts()
-        workspaces = [
-            np.empty((chunks[0], stage.netlist.n_gates))
-            if stage.netlist.n_gates > 0
-            else None
-            for stage in pipeline.stages
-        ]
-        sample_offset = 0
-        for count in chunks:
-            samples = self.sampler.sample(sizes, xs, ys, count, rng)
-            device_offset = 0
-            for index, stage in enumerate(pipeline.stages):
-                n_devices = per_stage_device_counts[index]
-                vth = samples.vth[:, device_offset : device_offset + n_devices]
-                length = samples.length[:, device_offset : device_offset + n_devices]
-                stage_delays[
-                    sample_offset : sample_offset + count, index
-                ] = self._stage_delay_from_samples(
-                    stage, vth, length, workspaces[index]
-                )
-                device_offset += n_devices
-            sample_offset += count
-
         return PipelineMonteCarloResult(
-            stage_samples=stage_delays,
+            stage_samples=self._run_stages(pipeline.stages),
             stage_names=tuple(pipeline.stage_names),
         )

@@ -76,44 +76,45 @@ class GateDelayModel:
         """
         tech = self.technology
         vth_samples = np.asarray(vth_samples, dtype=float)
-        overdrive = tech.vdd - vth_samples
-        if np.any(overdrive <= 0.0):
+        # The overdrive, turned into the factor in place (one temporary).
+        factor = np.asarray(tech.vdd - vth_samples)
+        if np.any(factor <= 0.0):
             raise ValueError(
                 "sampled threshold voltage reaches the supply; clamp samples "
                 "before computing delays"
             )
-        factor = (tech.gate_overdrive / overdrive) ** tech.alpha
+        np.divide(tech.gate_overdrive, factor, out=factor)
+        factor **= tech.alpha
         if length_samples is not None:
             factor = factor * (np.asarray(length_samples, dtype=float) / tech.lmin)
         return factor
 
     def delay_samples(
         self,
-        netlist: Netlist,
+        nominal: np.ndarray,
         vth_samples: np.ndarray,
         length_samples: np.ndarray | None = None,
-        sizes: np.ndarray | None = None,
     ) -> np.ndarray:
         """Per-sample, per-gate delays in seconds.
 
         Parameters
         ----------
-        netlist:
-            The netlist to evaluate.
+        nominal:
+            Nominal gate delays (topological order), as returned by
+            :meth:`nominal_delays`; computed once and reused across sample
+            chunks, since it does not depend on the sample.
         vth_samples:
             Threshold samples of shape ``(n_samples, n_gates)`` in topological
             gate order.
         length_samples:
             Optional channel-length samples of the same shape.
-        sizes:
-            Optional size vector (topological order).
 
         Returns
         -------
         numpy.ndarray
             Delays of shape ``(n_samples, n_gates)``.
         """
-        nominal = self.nominal_delays(netlist, sizes)
+        nominal = np.asarray(nominal, dtype=float)
         vth_samples = np.asarray(vth_samples, dtype=float)
         if vth_samples.ndim != 2 or vth_samples.shape[1] != nominal.shape[0]:
             raise ValueError(
@@ -121,7 +122,8 @@ class GateDelayModel:
                 f"{nominal.shape[0]}), got {vth_samples.shape}"
             )
         factors = self.drive_factors(vth_samples, length_samples)
-        return nominal[None, :] * factors
+        factors *= nominal
+        return factors
 
     # ------------------------------------------------------------------
     # First-order sensitivities (for SSTA)

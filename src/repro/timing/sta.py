@@ -25,9 +25,12 @@ from repro.circuit.netlist import Netlist
 from repro.timing.kernels import KernelConfig, resolve_config, shared_executor, split_rows
 
 
-# Sample-block byte target for the 2-D kernel: one arrival block plus one
-# delay block should sit inside a typical L2 cache while the level loop's
-# Python overhead stays amortised over enough samples.
+# Sample-block byte target for the 2-D kernel: the rows per block are
+# _BLOCK_BYTES // (8 * n_gates), but never fewer than 16 so the level loop's
+# Python overhead stays amortised.  The target (about one L2 cache) only
+# applies up to 8192 gates; above that the 16-row floor sets the block, so
+# each arrival and delay block is 16 * 8 * n_gates bytes -- 6.4 MB at 50k
+# gates, 12.8 MB at 100k -- and streams from memory rather than L2.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -64,7 +67,7 @@ def _propagate_block(schedule, delays: np.ndarray, arrivals: np.ndarray) -> None
 def _propagate_rows(
     schedule, delays: np.ndarray, arrivals: np.ndarray, block: int
 ) -> None:
-    """Forward-propagate a contiguous span of sample rows in L2-sized blocks."""
+    """Forward-propagate a contiguous span of sample rows, ``block`` at a time."""
     n_rows = delays.shape[0]
     for start in range(0, n_rows, block):
         stop = min(start + block, n_rows)
@@ -129,9 +132,9 @@ def arrival_times(
     if gate_delays.ndim == 1:
         _propagate_block(schedule, gate_delays, arrivals)
         return arrivals
-    # 2-D: process sample rows in cache-sized blocks.  Gates in one level are
-    # mutually independent, so each block streams through the level sequence
-    # with its whole working set resident in L2.
+    # 2-D: process sample rows in blocks (see _BLOCK_BYTES for their size).
+    # Gates in one level are mutually independent, so each block streams
+    # through the level sequence on its own.
     n_samples = gate_delays.shape[0]
     block = max(16, _BLOCK_BYTES // max(8 * schedule.n_gates, 1))
     workers = resolve_config(kernel).resolve(n_samples, 8 * schedule.n_gates)

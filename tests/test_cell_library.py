@@ -82,3 +82,23 @@ class TestCellLibrary:
         inv = lib["INV"]
         assert inv.logical_effort == pytest.approx(1.0)
         assert inv.area_factor == pytest.approx(1.0)
+
+
+class TestCoefficientTable:
+    def test_table_rows_follow_cell_ids(self):
+        lib = standard_cell_library()
+        for cell in lib:
+            row = lib.cell_id(cell.name)
+            assert lib.coefficients["logical_effort"][row] == cell.logical_effort
+            assert lib.coefficients["parasitic_delay"][row] == cell.parasitic_delay
+            assert lib.coefficients["area_factor"][row] == cell.area_factor
+            assert lib.coefficients["n_inputs"][row] == cell.n_inputs
+
+    def test_table_is_read_only(self):
+        lib = standard_cell_library()
+        with pytest.raises(ValueError):
+            lib.coefficients["logical_effort"][0] = 9.0
+
+    def test_unknown_cell_id_raises_keyerror(self):
+        with pytest.raises(KeyError, match="available cells"):
+            standard_cell_library().cell_id("NAND77")

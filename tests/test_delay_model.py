@@ -82,19 +82,20 @@ class TestDelaySamples:
     def test_shape(self, technology, small_chain, rng):
         model = GateDelayModel(technology)
         vth = np.full((10, small_chain.n_gates), technology.vth0)
-        samples = model.delay_samples(small_chain, vth)
+        samples = model.delay_samples(model.nominal_delays(small_chain), vth)
         assert samples.shape == (10, small_chain.n_gates)
 
     def test_nominal_samples_match_nominal_delays(self, technology, small_chain):
         model = GateDelayModel(technology)
+        nominal = model.nominal_delays(small_chain)
         vth = np.full((3, small_chain.n_gates), technology.vth0)
-        samples = model.delay_samples(small_chain, vth)
-        assert np.allclose(samples, model.nominal_delays(small_chain)[None, :])
+        samples = model.delay_samples(nominal, vth)
+        assert np.array_equal(samples, np.broadcast_to(nominal, samples.shape))
 
     def test_shape_mismatch_rejected(self, technology, small_chain):
         model = GateDelayModel(technology)
         with pytest.raises(ValueError):
-            model.delay_samples(small_chain, np.zeros((5, 3)))
+            model.delay_samples(model.nominal_delays(small_chain), np.zeros((5, 3)))
 
 
 class TestSensitivities:

@@ -1,15 +1,19 @@
 """Tests for repro.montecarlo (engine and results)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.circuit.flipflop import FlipFlopTiming
-from repro.circuit.generators import inverter_chain
+from repro.circuit.generators import inverter_chain, random_logic_block
+from repro.circuit.netlist import Netlist
 from repro.montecarlo.engine import MonteCarloEngine
 from repro.montecarlo.results import MonteCarloResult, PipelineMonteCarloResult
 from repro.pipeline.builder import inverter_chain_pipeline
 from repro.pipeline.stage import PipelineStage
 from repro.process.variation import VariationModel
+from repro.timing.delay_model import GateDelayModel
 
 
 class TestMonteCarloResult:
@@ -151,6 +155,52 @@ class TestEngineOnStages:
             variation_combined, n_samples=200, seed=9, chunk_size=10_000
         ).run_stage(stage)
         assert np.allclose(unchunked.samples, oversized.samples)
+
+
+class TestPerRunWork:
+    """Sample-independent work runs once per run, not once per chunk."""
+
+    def _count_calls(self, monkeypatch) -> Counter:
+        calls: Counter = Counter()
+        for owner, name in (
+            (Netlist, "cell_coefficients"),
+            (Netlist, "sizes"),
+            (GateDelayModel, "nominal_delays"),
+        ):
+            original = getattr(owner, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_marshalling_calls_do_not_grow_with_chunks(
+        self, monkeypatch, variation_combined
+    ):
+        netlist = random_logic_block(
+            "blk", n_gates=40, depth=6, n_inputs=6, n_outputs=4, seed=3
+        )
+        calls = self._count_calls(monkeypatch)
+        per_run = []
+        for chunk_size in (None, 10):  # 1 chunk, then 4 chunks
+            calls.clear()
+            MonteCarloEngine(
+                variation_combined, n_samples=40, seed=5, chunk_size=chunk_size
+            ).run_netlist(netlist)
+            per_run.append(dict(calls))
+        assert per_run[0] == per_run[1]
+        assert per_run[1] == {"cell_coefficients": 1, "sizes": 2, "nominal_delays": 1}
+
+    def test_run_stage_is_the_one_stage_pipeline_run(self, variation_combined):
+        pipeline = inverter_chain_pipeline(1, 6)
+        engine = MonteCarloEngine(
+            variation_combined, n_samples=90, seed=4, chunk_size=25
+        )
+        stage = engine.run_stage(pipeline.stages[0])
+        whole = engine.run_pipeline(pipeline)
+        assert np.array_equal(stage.samples, whole.stage_samples[:, 0])
 
 
 class TestEngineOnPipelines:

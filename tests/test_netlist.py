@@ -26,11 +26,20 @@ class TestConstruction:
         assert netlist.primary_outputs == ["out"]
 
     def test_duplicate_names_rejected(self):
+        from repro.circuit.netlist import NetlistError
+
         netlist = build_diamond()
         with pytest.raises(ValueError):
             netlist.add_gate("top", "INV", ["a"])
         with pytest.raises(ValueError):
             netlist.add_primary_input("a")
+        # A gate may not reuse a primary input's name, nor the reverse.
+        with pytest.raises(NetlistError, match="duplicate gate name 'a'"):
+            netlist.add_gate("a", "INV", ["top"])
+        with pytest.raises(NetlistError, match="node 'top' already exists"):
+            netlist.add_primary_input("top")
+        assert netlist.primary_inputs == ["a"]
+        assert netlist.n_gates == 3
 
     def test_unknown_fanin_rejected(self):
         netlist = Netlist("n")
@@ -134,6 +143,45 @@ class TestSizesAndLoads:
         after = netlist.load_capacitances(sizes)[index["top"]]
         assert after == pytest.approx(4.0 * before)
 
+    def test_sizes_and_positions_are_copies(self):
+        netlist = build_diamond()
+        netlist.auto_place()
+        sizes = netlist.sizes()
+        xs, ys = netlist.positions()
+        sizes[:] = 7.0
+        xs[:] = -1.0
+        ys[:] = -1.0
+        assert np.array_equal(netlist.sizes(), np.ones(3))
+        fresh_x, fresh_y = netlist.positions()
+        assert np.all(fresh_x >= 0.0) and np.all(fresh_y >= 0.0)
+
+    def test_set_sizes_and_gate_writes_see_each_other(self):
+        netlist = build_diamond()
+        index = netlist.gate_index()
+        sizes = np.array([2.0, 3.0, 1.5])
+        netlist.set_sizes(sizes)
+        for name, position in index.items():
+            assert netlist.gate(name).size == sizes[position]
+        netlist.gate("out").size = 6.0
+        netlist.gate("top").x = 0.125
+        expected = sizes.copy()
+        expected[index["out"]] = 6.0
+        assert np.array_equal(netlist.sizes(), expected)
+        assert netlist.positions()[0][index["top"]] == 0.125
+        assert isinstance(netlist.gate("out").size, float)
+
+    def test_sizes_follow_topological_not_insertion_order(self):
+        netlist = Netlist("fwd")
+        netlist.add_primary_input("a")
+        netlist.add_gate("late", "INV", ["early"], size=3.0, allow_forward=True)
+        netlist.add_gate("early", "NAND2", ["a", "a"], size=2.0)
+        assert netlist.topological_order() == ["early", "late"]
+        assert np.array_equal(netlist.sizes(), [2.0, 3.0])
+        assert np.array_equal(netlist.cell_coefficients()["n_inputs"], [2, 1])
+        netlist.set_sizes(np.array([4.0, 5.0]))
+        assert netlist.gate("early").size == 4.0
+        assert netlist.gate("late").size == 5.0
+
     def test_total_area_scales_with_sizes(self):
         netlist = build_diamond()
         base = netlist.total_area()
@@ -156,6 +204,29 @@ class TestPlacementAndCopy:
         xs, _ = netlist.positions()
         assert xs[index["top"]] < xs[index["out"]]
 
+    def test_auto_place_matches_per_gate_loop(self):
+        from repro.circuit.generators import random_logic_block
+
+        netlist = random_logic_block(
+            "blk", n_gates=300, depth=9, n_inputs=12, n_outputs=6, seed=4
+        )
+        x0, y0, x1, y1 = 0.1, 0.25, 0.7, 0.9
+        netlist.auto_place((x0, y0, x1, y1))
+        # Reference: the per-gate loop over levels in topological order.
+        levels = netlist.levels()
+        max_level = int(levels.max())
+        counts = {int(v): int((levels == v).sum()) for v in set(levels)}
+        seen: dict[int, int] = {}
+        expected_x, expected_y = [], []
+        for level in (int(v) for v in levels):
+            rank = seen.get(level, 0)
+            seen[level] = rank + 1
+            expected_x.append(x0 + (x1 - x0) * (level - 0.5) / max_level)
+            expected_y.append(y0 + (y1 - y0) * (rank + 0.5) / counts[level])
+        xs, ys = netlist.positions()
+        assert np.array_equal(xs, expected_x)
+        assert np.array_equal(ys, expected_y)
+
     def test_auto_place_rejects_bad_region(self):
         netlist = build_diamond()
         with pytest.raises(ValueError):
@@ -167,6 +238,38 @@ class TestPlacementAndCopy:
         clone.gate("top").size = 8.0
         assert netlist.gate("top").size == pytest.approx(1.0)
         assert clone.primary_outputs == netlist.primary_outputs
+
+    def test_copy_keeps_sizes_placement_and_structure(self):
+        netlist = build_diamond()
+        netlist.auto_place((0.25, 0.0, 0.5, 1.0))
+        netlist.set_sizes(np.array([2.0, 3.0, 1.5]))
+        clone = netlist.copy("twin")
+        assert clone.name == "twin"
+        assert clone.topological_order() == netlist.topological_order()
+        assert np.array_equal(clone.sizes(), netlist.sizes())
+        for ours, theirs in zip(clone.positions(), netlist.positions()):
+            assert np.array_equal(ours, theirs)
+        clone.set_sizes(np.full(3, 5.0))
+        assert np.array_equal(netlist.sizes(), [2.0, 3.0, 1.5])
+
+    def test_deleted_netlist_is_freed_without_the_cycle_collector(self):
+        import gc
+        import weakref
+
+        from repro.circuit.ingest import scale_logic_block
+
+        gc.disable()
+        try:
+            for build in (build_diamond, lambda: scale_logic_block("b", 64, seed=1)):
+                netlist = build()
+                netlist.gate(next(iter(netlist.gates))).size = 2.0
+                netlist.sizes()
+                netlist.load_capacitances()
+                ref = weakref.ref(netlist)
+                del netlist
+                assert ref() is None
+        finally:
+            gc.enable()
 
     def test_copy_preserves_area(self):
         netlist = build_diamond()
