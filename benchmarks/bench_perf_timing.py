@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from bench_utils import best_of_seconds
+from bench_utils import best_of_seconds, host_info
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -66,6 +66,7 @@ def run_benchmark() -> dict:
     block.timing_schedule()
 
     report: dict = {
+        "host": host_info(),
         "netlist": {"n_gates": N_GATES, "depth": DEPTH, "n_samples": N_SAMPLES},
         "kernels": {},
     }

@@ -33,14 +33,12 @@ or through pytest (asserts the 100k point's CI budgets)::
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-import platform
 import subprocess
 import sys
 import time
 
-import numpy as np
+from bench_utils import host_info
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -131,15 +129,6 @@ def measure_point(n_gates: int) -> dict:
             f"scale point {n_gates} failed:\n{completed.stderr}"
         )
     return json.loads(completed.stdout.splitlines()[-1])
-
-
-def host_info() -> dict:
-    """The machine the numbers were measured on."""
-    return {
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-    }
 
 
 def run_benchmark(sizes=DEFAULT_SIZES) -> dict:

@@ -31,12 +31,10 @@ import functools
 import json
 import os
 import pathlib
-import platform
 import shutil
 import tempfile
 
-import numpy as np
-from bench_utils import timed_seconds
+from bench_utils import host_info, timed_seconds
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -86,11 +84,7 @@ def _identity(result):
 def run_benchmark() -> dict:
     cpu_count = os.cpu_count() or 1
     report: dict = {
-        "host": {
-            "cpu_count": cpu_count,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
+        "host": host_info(),
         "sweep": {
             "n_points": len(AXES["pipeline.n_stages"])
             * len(AXES["variation.sigma_scale"]),

@@ -16,8 +16,12 @@ convention is:
 
 from __future__ import annotations
 
+import os
 import pathlib
+import platform
 import time
+
+import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.api import (
@@ -36,6 +40,15 @@ from repro.api import (
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 _SESSION: Session | None = None
+
+
+def host_info() -> dict:
+    """The machine a perf benchmark's numbers were measured on."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
 
 
 def run_once(benchmark, workload):

@@ -33,6 +33,7 @@ import numpy as np
 from scipy.stats import norm
 
 from repro.api.spec import StudySpec
+from repro.core.clark import standard_normal
 from repro.core.pipeline_delay import PipelineDelayModel
 from repro.core.stage_delay import StageDelayDistribution
 
@@ -200,7 +201,7 @@ class DelayReport:
         if self.pipeline_std == 0.0:
             return 1.0 if self.pipeline_mean <= target_delay else 0.0
         z = (target_delay - self.pipeline_mean) / self.pipeline_std
-        return float(norm.cdf(z))
+        return standard_normal(z)[0]
 
     def delay_at_yield(self, target_yield: float) -> float:
         """Clock period the pipeline achieves ``target_yield`` at."""

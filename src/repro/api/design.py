@@ -37,10 +37,9 @@ import json
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Mapping, Protocol, runtime_checkable
 
-from scipy.stats import norm
-
 from repro.api.backends import DelayReport
 from repro.api.spec import DesignSpec, DesignStudySpec
+from repro.core.clark import standard_normal
 from repro.core.pipeline_delay import PipelineDelayModel
 from repro.core.yield_model import stage_yield_budget
 from repro.optimize.global_opt import (
@@ -297,7 +296,7 @@ class DesignReport:
         if self.pipeline_std == 0.0:
             return 1.0 if self.pipeline_mean <= target_delay else 0.0
         z = (target_delay - self.pipeline_mean) / self.pipeline_std
-        return float(norm.cdf(z))
+        return standard_normal(z)[0]
 
     @property
     def mc_yield(self) -> float | None:

@@ -33,13 +33,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 # Two variables are treated as perfectly dependent (their difference is
 # deterministic) when the variance of that difference is this small relative
 # to the variables' own variances.  The threshold is relative so the test is
 # unit-independent (delays here are of order 1e-10 s, variances 1e-21 s^2).
 _DEGENERATE_RATIO = 1e-12
+
+# Normaliser of the standard-normal density; the same value as scipy's
+# ``_norm_pdf_C``.
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+
+def standard_normal(x):
+    """Standard-normal CDF and density ``(Phi(x), phi(x))``.
+
+    These are the expressions ``scipy.stats.norm.cdf`` / ``.pdf`` evaluate
+    (``ndtr`` and ``exp(-x**2 / 2) / sqrt(2 pi)``), so results are
+    bit-identical, without the ~40 us of ``rv_continuous`` argument checks
+    and support masks per call that would dominate every Clark max.
+
+    A scalar ``x`` returns two floats, an array two arrays of its shape.
+    phi is always evaluated on an array of at least one dimension, as scipy
+    does: NumPy's vectorised ``exp`` loop and its scalar path differ in the
+    last bit for a few inputs.
+    """
+    values = np.asarray(x, dtype=float)
+    if values.ndim == 0:
+        cdf, pdf = standard_normal(values.reshape(1))
+        return float(cdf[0]), float(pdf[0])
+    return ndtr(values), np.exp(-values**2 / 2.0) / _SQRT_2PI
 
 
 def _is_degenerate_spread(spread_sq: float, var1: float, var2: float) -> bool:
@@ -101,9 +125,8 @@ def max_of_two_gaussians(
 
     spread = spread_sq**0.5
     alpha = (mean1 - mean2) / spread
-    prob1 = float(norm.cdf(alpha))
+    prob1, density = standard_normal(alpha)
     prob2 = 1.0 - prob1
-    density = float(norm.pdf(alpha))
 
     mean_max = mean1 * prob1 + mean2 * prob2 + spread * density
     second_moment = (
@@ -160,7 +183,7 @@ def correlation_with_max(
         return float(np.clip(correlation_other_2 * std2 / max_std, -1.0, 1.0))
 
     alpha = (mean1 - mean2) / spread_sq**0.5
-    prob1 = float(norm.cdf(alpha))
+    prob1 = standard_normal(alpha)[0]
     prob2 = 1.0 - prob1
     # Cov(Y, max) = sigma_Y * (s1 rho1 Phi + s2 rho2 Phi-); the sigma_Y factor
     # cancels against the denominator, so divide it out analytically rather

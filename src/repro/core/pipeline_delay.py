@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from repro.core.clark import max_of_gaussians
+from repro.core.clark import max_of_gaussians, standard_normal
 from repro.core.stage_delay import StageDelayDistribution
 
 
@@ -46,7 +46,7 @@ class PipelineDelayEstimate:
         approximation of the pipeline delay (paper eq. 9)."""
         if self.std == 0.0:
             return 1.0 if self.mean <= target_delay else 0.0
-        return float(norm.cdf((target_delay - self.mean) / self.std))
+        return standard_normal((target_delay - self.mean) / self.std)[0]
 
     def delay_at_yield(self, target_yield: float) -> float:
         """Clock period achievable at the requested yield."""

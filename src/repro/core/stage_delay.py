@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
+from repro.core.clark import standard_normal
+
 
 @dataclass(frozen=True)
 class StageDelayDistribution:
@@ -72,7 +74,7 @@ class StageDelayDistribution:
         """Probability that this stage alone meets ``target_delay``."""
         if self.std == 0.0:
             return 1.0 if self.mean <= target_delay else 0.0
-        return float(norm.cdf((target_delay - self.mean) / self.std))
+        return standard_normal((target_delay - self.mean) / self.std)[0]
 
     def delay_at_yield(self, target_yield: float) -> float:
         """Delay this stage meets with probability ``target_yield``."""

@@ -21,8 +21,8 @@ Three estimators are provided:
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
 
+from repro.core.clark import standard_normal
 from repro.core.pipeline_delay import PipelineDelayModel
 from repro.core.stage_delay import StageDelayDistribution
 
@@ -45,7 +45,7 @@ def yield_independent(
                 return 0.0
             continue
         z = (target_delay - stage.mean) / stage.std
-        probability = float(norm.cdf(z))
+        probability = standard_normal(z)[0]
         if probability <= 0.0:
             return 0.0
         log_probability += np.log(probability)

@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
+from repro.core.clark import standard_normal
 from repro.core.pipeline_delay import PipelineDelayModel
 from repro.core.stage_delay import StageDelayDistribution
 from repro.optimize.area_delay import AreaDelayCurve, characterize_stage
@@ -233,7 +233,7 @@ class GlobalPipelineOptimizer:
         sigma_best = ratio * mean_best
         if sigma_best <= 0.0:
             return self.max_stage_yield
-        stage_yield = float(norm.cdf((target_delay - mean_best) / sigma_best))
+        stage_yield = standard_normal((target_delay - mean_best) / sigma_best)[0]
         return float(np.clip(stage_yield, 1e-4, self.max_stage_yield))
 
     # ------------------------------------------------------------------

@@ -4,7 +4,7 @@ The vectorized STA/SSTA kernels are single-core NumPy.  Their hot loops are
 embarrassingly parallel along one axis -- Monte-Carlo sample rows for the
 2-D arrival propagation, gates-within-a-level for the SSTA component fold --
 and the underlying ufuncs (fancy gather, ``maximum``, ``einsum``,
-``norm.cdf``) all release the GIL, so a plain ``ThreadPoolExecutor`` over
+``ndtr``) all release the GIL, so a plain ``ThreadPoolExecutor`` over
 row spans scales them across cores with zero extra allocation.
 
 This module owns the *selection* of that tier:
@@ -107,14 +107,13 @@ class KernelConfig:
         """
         if self.kernel == "vectorized" or n_rows <= 1:
             return 1
-        workers = max(1, min(self.resolved_threads(), int(n_rows)))
-        if self.kernel == "threaded":
-            return workers
-        if workers < 2:
+        # Test the cheap ``auto`` floors before the worker count: most SSTA
+        # levels fail them, and the count may query ``os.cpu_count()``.
+        if self.kernel == "auto" and (
+            n_rows < self.min_rows or n_rows * row_bytes < self.min_bytes
+        ):
             return 1
-        if n_rows < self.min_rows or n_rows * row_bytes < self.min_bytes:
-            return 1
-        return workers
+        return max(1, min(self.resolved_threads(), int(n_rows)))
 
     def to_dict(self) -> dict:
         """JSON-safe representation (storage / RPC, like the other specs)."""

@@ -33,10 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.circuit.flipflop import FlipFlopTiming
 from repro.circuit.netlist import Netlist
+from repro.core.clark import standard_normal
 from repro.process.spatial import SpatialCorrelationModel
 from repro.process.technology import Technology
 from repro.process.variation import VariationModel
@@ -131,9 +131,8 @@ def _max_arrays(
         return mean_b, sens_b.copy(), rand_b
     theta = theta_sq**0.5
     alpha = (mean_a - mean_b) / theta
-    prob_a = float(norm.cdf(alpha))
+    prob_a, phi = standard_normal(alpha)
     prob_b = 1.0 - prob_a
-    phi = float(norm.pdf(alpha))
     mean_max = mean_a * prob_a + mean_b * prob_b + theta * phi
     second_moment = (
         (mean_a**2 + var_a) * prob_a
@@ -170,9 +169,8 @@ def _max_arrays_batch(
     degenerate = (total <= 0.0) | (theta_sq <= _DEGENERATE_RATIO * total)
     theta = np.sqrt(np.where(degenerate, 1.0, theta_sq))
     alpha = (mean_a - mean_b) / theta
-    prob_a = norm.cdf(alpha)
+    prob_a, phi = standard_normal(alpha)
     prob_b = 1.0 - prob_a
-    phi = norm.pdf(alpha)
     mean_max = mean_a * prob_a + mean_b * prob_b + theta * phi
     second_moment = (
         (mean_a**2 + var_a) * prob_a
@@ -379,8 +377,14 @@ class StatisticalTimingAnalyzer:
     def combinational_delay(
         self, netlist: Netlist, sizes: np.ndarray | None = None
     ) -> CanonicalForm:
-        """Distribution of the block's combinational delay (max over outputs)."""
+        """Distribution of the block's combinational delay (max over outputs).
+
+        A netlist without gates has zero combinational delay, as in the
+        Monte-Carlo engine.
+        """
         arr_mean, arr_sens, arr_rand = self.arrival_components(netlist, sizes)
+        if arr_mean.shape[0] == 0:
+            return CanonicalForm.constant(0.0, self.n_factors)
         mask = netlist.output_mask()
         if not mask.any():
             mask = np.ones(arr_mean.shape[0], dtype=bool)

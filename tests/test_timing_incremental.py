@@ -280,6 +280,43 @@ def test_kernel_config_resolution_rules():
     assert auto.resolve(128, 1 << 16) == 4  # big enough on both axes
 
 
+@pytest.mark.parametrize(
+    "kernel, threads, n_rows, row_bytes, expected",
+    [
+        ("vectorized", 8, 1000, 1 << 20, 1),
+        ("vectorized", 1, 0, 0, 1),
+        ("threaded", 3, 0, 8, 1),
+        ("threaded", 3, 1, 8, 1),
+        ("threaded", 3, 2, 8, 2),
+        ("threaded", 3, 10, 0, 3),
+        ("threaded", 1, 1000, 1 << 20, 1),
+        ("auto", 4, 1, 1 << 30, 1),
+        ("auto", 4, 63, 1 << 20, 1),  # below min_rows
+        ("auto", 4, 64, (1 << 15) - 1, 1),  # one byte per row short of min_bytes
+        ("auto", 4, 64, 1 << 15, 4),  # both floors met exactly
+        ("auto", 4, 4000, 528, 4),
+        ("auto", 4, 1000, 528, 1),  # 528 kB, below min_bytes
+        ("auto", 1, 1000, 1 << 20, 1),  # one worker
+        ("auto", 8, 100, 1 << 20, 8),
+        ("auto", 200, 100, 1 << 20, 100),  # capped by the row count
+    ],
+)
+def test_kernel_config_resolution_table(kernel, threads, n_rows, row_bytes, expected):
+    config = KernelConfig(kernel=kernel, threads=threads, min_rows=64, min_bytes=1 << 21)
+    assert config.resolve(n_rows, row_bytes) == expected
+
+
+def test_auto_floors_resolve_without_counting_cpus(monkeypatch):
+    def no_cpu_count():
+        raise AssertionError("os.cpu_count() queried for a level below the floors")
+
+    monkeypatch.delenv(ENV_THREADS, raising=False)
+    monkeypatch.setattr("os.cpu_count", no_cpu_count)
+    config = KernelConfig()
+    assert config.resolve(10, 8 * 66) == 1
+    assert config.resolve(1000, 8) == 1
+
+
 def test_kernel_config_validation():
     with pytest.raises(ValueError):
         KernelConfig(kernel="gpu")

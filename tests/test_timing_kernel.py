@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.circuit.flipflop import FlipFlopTiming
 from repro.circuit.generators import inverter_chain, random_logic_block
 from repro.circuit.netlist import Netlist
+from repro.montecarlo.engine import MonteCarloEngine
 from repro.timing.delay_model import GateDelayModel
 from repro.timing.reference import (
     arrival_components_reference,
@@ -203,6 +205,25 @@ class TestEdgeCases:
         assert arrival_times(netlist, np.zeros(0)).shape == (0,)
         assert netlist.logic_depth() == 0
         assert netlist.timing_schedule().n_levels == 0
+
+    @pytest.mark.parametrize("flipflop", [None, FlipFlopTiming()], ids=["bare", "ff"])
+    def test_empty_netlist_ssta_matches_monte_carlo(self, flipflop):
+        """No gates: zero combinational delay, the stage is the flip-flop alone."""
+        netlist = Netlist("inputs_only")
+        netlist.add_primary_input("a")
+        netlist.add_primary_input("b")
+        technology, variation = default_technology(), VariationModel.combined()
+        analyzer = StatisticalTimingAnalyzer(technology, variation)
+        form = analyzer.stage_delay(netlist, flipflop)
+        engine = MonteCarloEngine(variation, technology, n_samples=4000, seed=3)
+        result = engine.run_netlist(netlist, flipflop)
+        if flipflop is None:
+            assert (form.mean, form.sigma) == (0.0, 0.0)
+            assert (result.mean, result.std) == (0.0, 0.0)
+        else:
+            assert form.mean == analyzer.flipflop_form(flipflop).mean
+            assert form.mean == pytest.approx(result.mean, rel=0.02)
+            assert form.sigma == pytest.approx(result.std, rel=0.05)
 
     def test_schedule_cache_reused_and_invalidated(self):
         netlist = inverter_chain(5)
