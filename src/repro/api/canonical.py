@@ -21,10 +21,12 @@ canonical JSON is therefore an on-disk compatibility contract: changing it
 orphans every existing checkpoint store (see the pinned-digest regression
 test in ``tests/test_canonical.py``).
 
-:func:`resolved_store_spec` resolves a deferred (``None``) sampling seed
-against the executing session *before* keying -- a ``None`` seed means "use
-the session's root seed", so two sessions with different root seeds must
-not collide on one digest.
+:func:`resolved_store_spec` resolves what the spec only points at before
+keying: a deferred (``None``) sampling seed against the executing session --
+a ``None`` seed means "use the session's root seed", so two sessions with
+different root seeds must not collide on one digest -- and, for the
+file-backed ``bench``/``yosys_json`` pipeline kinds, the netlist file's
+bytes, so an edited file never hits the entry of its old contents.
 
 The module also carries the *tagged wire forms* used whenever a spec or
 report crosses a process/network boundary without the endpoint implying its
@@ -39,6 +41,7 @@ initialisation) without cycles.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from typing import TYPE_CHECKING, Any, Mapping, Union
@@ -103,15 +106,25 @@ def spec_digest(spec: "AnySpec") -> str:
 
 
 def resolved_store_spec(spec: "AnySpec", session: "Session") -> "AnySpec":
-    """``spec`` with any deferred (``None``) sampling seed made concrete.
+    """``spec`` with its deferred seed and its netlist file made concrete.
 
     A ``None`` seed means "use the session's root seed", so a content
     address must bake the resolved value in -- otherwise sessions with
     different root seeds would collide on one digest while computing
-    different numbers.
+    different numbers.  Likewise a ``bench``/``yosys_json`` pipeline names
+    a file by path, so the file's SHA-256 is added to the pipeline options
+    (as ``source_sha256``): editing the file changes the digest.
     """
     from repro.api.spec import DesignStudySpec
+    from repro.circuit.ingest import source_sha256
 
+    source = source_sha256(spec.pipeline)
+    if source is not None:
+        options = dict(spec.pipeline.options)
+        options["source_sha256"] = source
+        spec = spec.replace(
+            pipeline=dataclasses.replace(spec.pipeline, options=options)
+        )
     if isinstance(spec, DesignStudySpec):
         if spec.validation is None or spec.validation.seed is not None:
             return spec

@@ -47,6 +47,7 @@ JSON-round-trippable spec flowing through ``Session``/``run_sweep``/
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 import re
@@ -900,6 +901,21 @@ def _resolve_path(spec, kind: str) -> pathlib.Path:
     raise ValueError(
         f"no committed fixture named {fixture!r}; available: {available}"
     )
+
+
+def source_sha256(spec) -> str | None:
+    """SHA-256 of the netlist file a ``bench``/``yosys_json`` spec reads.
+
+    ``None`` for every other kind, and for a file that cannot be resolved
+    or read (building the pipeline then raises the located error).
+    """
+    if spec.kind not in ("bench", "yosys_json"):
+        return None
+    try:
+        data = _resolve_path(spec, spec.kind).read_bytes()
+    except (OSError, ValueError):
+        return None
+    return hashlib.sha256(data).hexdigest()
 
 
 def _stages_from_netlist(spec, netlist: Netlist):

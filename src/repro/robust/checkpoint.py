@@ -14,7 +14,8 @@ report JSON on disk*:
 * specs with a deferred (``None``) sampling seed must be resolved against
   the executing session *before* keying (:func:`resolved_store_spec`),
   otherwise two sessions with different root seeds would poison each
-  other's entries;
+  other's entries; the same call folds the SHA-256 of a ``bench`` /
+  ``yosys_json`` netlist file into the key, so an edited file misses;
 * writes are atomic (temp file + ``os.replace``) so a sweep killed
   mid-write never leaves a truncated checkpoint, and unreadable or
   mismatched entries read as misses rather than crashes.

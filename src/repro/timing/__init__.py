@@ -13,16 +13,12 @@
   independent random part) combined with Clark's max operator.
 * :mod:`repro.timing.paths` -- critical-path extraction, slack and
   near-critical path counting.
-* :mod:`repro.timing.incremental` -- incremental STA: dirty-cone
-  arrival/required propagation with exact cutoff (:class:`IncrementalTimer`)
-  and the coefficient-cached sizer state (:class:`SizingState`).
 * :mod:`repro.timing.kernels` -- kernel-tier selection
   (:class:`KernelConfig`): vectorized vs threaded row-chunked propagation
   with auto-selection by problem size.
 """
 
 from repro.timing.delay_model import GateDelayModel
-from repro.timing.incremental import IncrementalTimer, SizingState
 from repro.timing.kernels import KernelConfig
 from repro.timing.sta import (
     arrival_times,
@@ -35,9 +31,7 @@ from repro.timing.ssta import CanonicalForm, StatisticalTimingAnalyzer
 
 __all__ = [
     "GateDelayModel",
-    "IncrementalTimer",
     "KernelConfig",
-    "SizingState",
     "arrival_times",
     "max_delay",
     "critical_path",

@@ -35,11 +35,6 @@ oracle                    fast path vs. reference
                           session's direct answer: injected flaky/persistent
                           failures must cost zero successful points and
                           surface as structured failures
-``incremental-sta``       :class:`~repro.timing.incremental.IncrementalTimer`
-                          / :class:`~repro.timing.incremental.SizingState`
-                          dirty-cone re-propagation vs. full-from-scratch
-                          kernels under randomized update sequences
-                          (bit-exact by construction)
 ``threaded-2d``           the threaded row/gate-chunked kernel tier for 2-D
                           sampled STA and SSTA component propagation vs. the
                           single-threaded vectorized kernels
@@ -624,98 +619,6 @@ class SweepFaultRecoveryOracle:
 
 
 @dataclass
-class IncrementalStaOracle:
-    """Incremental dirty-cone STA vs. full-from-scratch recomputation.
-
-    Drives an :class:`~repro.timing.incremental.IncrementalTimer` through
-    seeded rounds of randomized delay updates (plus a no-op invalidation)
-    and a :class:`~repro.timing.incremental.SizingState` through a short
-    resize sequence, comparing arrivals, critical paths, required times,
-    loads and delays against the trusted full kernels after every step.
-    The incremental engine is exact (its cutoff fires only when a value is
-    bit-identical to the old one), so the tolerance is exact equality.
-    """
-
-    name: str = "incremental-sta"
-    kinds: tuple[str, ...] = ("study", "design")
-    tolerance: Tolerance = field(default_factory=Tolerance.exact)
-    rounds: int = 4
-
-    def check(self, session: "Session", scenario: Scenario) -> OracleCheck:
-        from repro.timing.delay_model import GateDelayModel
-        from repro.timing.incremental import IncrementalTimer, SizingState
-        from repro.timing.sta import critical_path
-
-        pipeline = session.pipeline(scenario.pipeline)
-        model = GateDelayModel(session.technology)
-        seed = session.resolve_seed(scenario.analysis)
-        worst, detail = 0.0, ""
-
-        def note(excess: float, where: str) -> None:
-            nonlocal worst, detail
-            if excess > worst:
-                worst, detail = excess, where
-
-        for index, stage in enumerate(pipeline.stages):
-            netlist = stage.netlist
-            if netlist.n_gates == 0:
-                continue
-            rng = np.random.default_rng(derive_seed(seed, 11, index))
-            delays = model.nominal_delays(netlist)
-            timer = IncrementalTimer(netlist, delays)
-            target = 1.1 * timer.worst_arrival()
-            for round_index in range(self.rounds):
-                count = int(rng.integers(1, max(2, netlist.n_gates // 8)))
-                gate_ids = rng.choice(netlist.n_gates, size=count, replace=False)
-                delays = delays.copy()
-                delays[gate_ids] *= rng.uniform(0.6, 1.6, size=count)
-                timer.update_delays(gate_ids, delays[gate_ids])
-                if round_index == 1:
-                    timer.invalidate(gate_ids)  # no-op: delays unchanged
-                where = f"stage {stage.name} round {round_index}"
-                note(
-                    self.tolerance.excess(
-                        timer.arrivals(), arrival_times(netlist, delays)
-                    ),
-                    f"{where} (arrivals)",
-                )
-                note(
-                    self.tolerance.excess(
-                        timer.required(target),
-                        required_times(netlist, delays, target),
-                    ),
-                    f"{where} (required)",
-                )
-                if timer.critical_path() != critical_path(netlist, delays):
-                    note(float("inf"), f"{where} (critical path)")
-
-            state = SizingState(netlist, session.technology)
-            for move in range(self.rounds):
-                position = int(rng.integers(0, netlist.n_gates))
-                state.resize(position, float(rng.uniform(1.0, 6.0)))
-                where = f"stage {stage.name} move {move}"
-                note(
-                    self.tolerance.excess(
-                        state.loads, netlist.load_capacitances(state.sizes)
-                    ),
-                    f"{where} (loads)",
-                )
-                note(
-                    self.tolerance.excess(
-                        state.delays, model.nominal_delays(netlist, state.sizes)
-                    ),
-                    f"{where} (delays)",
-                )
-                note(
-                    self.tolerance.excess(
-                        state.arrivals(), arrival_times(netlist, state.delays)
-                    ),
-                    f"{where} (arrivals)",
-                )
-        return _check(self, scenario, worst, detail)
-
-
-@dataclass
 class Threaded2dOracle:
     """Threaded row/gate-chunked kernel tier vs. the vectorized kernels.
 
@@ -869,7 +772,6 @@ for _oracle in (
     DesignIsolationOracle(),
     OptimizerConformanceOracle(),
     SweepFaultRecoveryOracle(),
-    IncrementalStaOracle(),
     Threaded2dOracle(),
     ParserRoundTripOracle(),
 ):

@@ -110,6 +110,35 @@ class TestCheckpointEquivalence:
         # A concrete seed passes through untouched.
         assert resolved_store_spec(SMALL, low) is SMALL
 
+    def test_edited_netlist_file_misses_the_store(self, tmp_path):
+        from repro.circuit.ingest import FIXTURE_DIR
+
+        bench = tmp_path / "c17.bench"
+        bench.write_text((FIXTURE_DIR / "c17.bench").read_text())
+        spec = StudySpec(
+            pipeline=PipelineSpec(
+                kind="bench", n_stages=1, options={"path": str(bench)}
+            ),
+            analysis=AnalysisSpec(backend="ssta", seed=3),
+        )
+        store = CheckpointStore(tmp_path / "store")
+        original = Session(store=store).run(spec)
+
+        text = bench.read_text()
+        assert "16 = NAND(2, 11)" in text
+        bench.write_text(text.replace("16 = NAND(2, 11)", "16 = NAND(2, 19)"))
+        rerun_session = Session(store=store)
+        rerun = rerun_session.run(spec)
+        fresh = Session().run(spec)
+        assert rerun_session.store_hits == 0
+        assert rerun == fresh
+        assert rerun != original
+        # The unedited contents still resolve to their own entry.
+        bench.write_text(text)
+        again = Session(store=store)
+        assert again.run(spec) == original
+        assert again.store_hits == 1
+
 
 class TestWireForms:
     def test_study_spec_wire_round_trip(self):

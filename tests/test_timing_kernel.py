@@ -6,6 +6,10 @@ in :mod:`repro.timing.sta` / :mod:`repro.timing.ssta` match them to 1e-12
 relative (of the result's own scale) on random DAGs, and exercise the
 structural edge cases the kernels must survive: gates with no gate fanins,
 single-gate netlists, and netlists with no marked primary outputs.
+
+The threaded kernel tier is exercised with a *forced* two-worker config so
+the chunked code paths run even on single-core CI runners; speedup floors
+live in the perf benchmarks, correctness lives here.
 """
 
 import numpy as np
@@ -17,6 +21,14 @@ from repro.circuit.generators import inverter_chain, random_logic_block
 from repro.circuit.netlist import Netlist
 from repro.montecarlo.engine import MonteCarloEngine
 from repro.timing.delay_model import GateDelayModel
+from repro.timing.kernels import (
+    ENV_KERNEL,
+    ENV_THREADS,
+    KernelConfig,
+    default_config,
+    resolve_config,
+    split_rows,
+)
 from repro.timing.reference import (
     arrival_components_reference,
     arrival_times_reference,
@@ -250,3 +262,146 @@ class TestEdgeCases:
         levels = block.levels()
         assert np.array_equal(levels, schedule.levels + 1)
         assert block.logic_depth() == schedule.n_levels
+
+
+TECH = default_technology()
+MODEL = GateDelayModel(TECH)
+
+# Forced two-worker config: runs the chunked paths regardless of core count.
+FORCED_THREADED = KernelConfig(kernel="threaded", threads=2, min_bytes=1, min_rows=1)
+
+
+def make_block(seed: int, n_gates: int = 220, n_outputs: int = 5):
+    """A reconvergent random DAG (random_logic re-uses fanin gates freely)."""
+    return random_logic_block(
+        f"blk{seed}",
+        n_gates=n_gates,
+        depth=max(4, n_gates // 20),
+        n_inputs=7,
+        n_outputs=n_outputs,
+        seed=seed,
+    )
+
+
+# ----------------------------------------------------------------------
+# Threaded kernel tier: chunked execution is bit-identical
+# ----------------------------------------------------------------------
+def test_threaded_2d_arrivals_bit_identical():
+    block = make_block(11, n_gates=300)
+    rng = np.random.default_rng(3)
+    nominal = MODEL.nominal_delays(block, block.sizes())
+    batch = nominal[None, :] * rng.uniform(0.7, 1.4, size=(96, block.n_gates))
+    reference = arrival_times(block, batch, kernel="vectorized")
+    assert np.array_equal(arrival_times(block, batch, kernel=FORCED_THREADED), reference)
+    assert np.array_equal(arrival_times(block, batch), reference)  # auto
+    assert np.array_equal(
+        max_delay(block, batch, kernel=FORCED_THREADED),
+        max_delay(block, batch),
+    )
+
+
+def test_threaded_ssta_components_bit_identical():
+    block = make_block(12, n_gates=300)
+    variation = VariationModel()
+    reference = StatisticalTimingAnalyzer(TECH, variation, grid_size=8)
+    threaded = StatisticalTimingAnalyzer(
+        TECH, variation, grid_size=8, kernel=FORCED_THREADED
+    )
+    for fast, slow in zip(
+        threaded.arrival_components(block), reference.arrival_components(block)
+    ):
+        assert np.array_equal(fast, slow)
+    fast_form = threaded.combinational_delay(block)
+    slow_form = reference.combinational_delay(block)
+    assert fast_form.mean == slow_form.mean
+    assert float(fast_form.sigma) == float(slow_form.sigma)
+
+
+# ----------------------------------------------------------------------
+# KernelConfig: selection rules and serialisation
+# ----------------------------------------------------------------------
+def test_kernel_config_resolution_rules():
+    assert KernelConfig(kernel="vectorized", threads=8).resolve(1000, 8000) == 1
+    forced = KernelConfig(kernel="threaded", threads=3)
+    assert forced.resolve(1000, 8000) == 3
+    assert forced.resolve(2, 8) == 2  # never more workers than rows
+    assert forced.resolve(1, 8) == 1  # single row stays sequential
+    auto = KernelConfig(kernel="auto", threads=4, min_rows=64, min_bytes=1 << 20)
+    assert auto.resolve(32, 1 << 20) == 1  # too few rows
+    assert auto.resolve(128, 16) == 1  # too small a problem
+    assert auto.resolve(128, 1 << 16) == 4  # big enough on both axes
+
+
+@pytest.mark.parametrize(
+    "kernel, threads, n_rows, row_bytes, expected",
+    [
+        ("vectorized", 8, 1000, 1 << 20, 1),
+        ("vectorized", 1, 0, 0, 1),
+        ("threaded", 3, 0, 8, 1),
+        ("threaded", 3, 1, 8, 1),
+        ("threaded", 3, 2, 8, 2),
+        ("threaded", 3, 10, 0, 3),
+        ("threaded", 1, 1000, 1 << 20, 1),
+        ("auto", 4, 1, 1 << 30, 1),
+        ("auto", 4, 63, 1 << 20, 1),  # below min_rows
+        ("auto", 4, 64, (1 << 15) - 1, 1),  # one byte per row short of min_bytes
+        ("auto", 4, 64, 1 << 15, 4),  # both floors met exactly
+        ("auto", 4, 4000, 528, 4),
+        ("auto", 4, 1000, 528, 1),  # 528 kB, below min_bytes
+        ("auto", 1, 1000, 1 << 20, 1),  # one worker
+        ("auto", 8, 100, 1 << 20, 8),
+        ("auto", 200, 100, 1 << 20, 100),  # capped by the row count
+    ],
+)
+def test_kernel_config_resolution_table(kernel, threads, n_rows, row_bytes, expected):
+    config = KernelConfig(kernel=kernel, threads=threads, min_rows=64, min_bytes=1 << 21)
+    assert config.resolve(n_rows, row_bytes) == expected
+
+
+def test_auto_floors_resolve_without_counting_cpus(monkeypatch):
+    def no_cpu_count():
+        raise AssertionError("os.cpu_count() queried for a level below the floors")
+
+    monkeypatch.delenv(ENV_THREADS, raising=False)
+    monkeypatch.setattr("os.cpu_count", no_cpu_count)
+    config = KernelConfig()
+    assert config.resolve(10, 8 * 66) == 1
+    assert config.resolve(1000, 8) == 1
+
+
+def test_kernel_config_validation():
+    with pytest.raises(ValueError):
+        KernelConfig(kernel="gpu")
+    with pytest.raises(ValueError):
+        KernelConfig(threads=0)
+    with pytest.raises(TypeError):
+        resolve_config(3.14)
+
+
+def test_kernel_config_json_round_trip():
+    config = KernelConfig(kernel="threaded", threads=2, min_bytes=64, min_rows=8)
+    assert KernelConfig.from_dict(config.to_dict()) == config
+    with pytest.raises(ValueError):
+        KernelConfig.from_dict({"kernel": "auto", "bogus": 1})
+
+
+def test_kernel_config_env_defaults(monkeypatch):
+    monkeypatch.setenv(ENV_KERNEL, "threaded")
+    monkeypatch.setenv(ENV_THREADS, "5")
+    config = default_config()
+    assert config.kernel == "threaded"
+    assert config.resolved_threads() == 5
+    monkeypatch.delenv(ENV_KERNEL)
+    assert default_config().kernel == "auto"
+    assert resolve_config(None) == default_config()
+    assert resolve_config("vectorized").kernel == "vectorized"
+    assert resolve_config(config) is config
+
+
+def test_split_rows_partitions_exactly():
+    spans = split_rows(10, 3)
+    assert spans[0][0] == 0 and spans[-1][1] == 10
+    covered = [i for lo, hi in spans for i in range(lo, hi)]
+    assert covered == list(range(10))
+    assert split_rows(2, 8) == [(0, 1), (1, 2)]
+    assert split_rows(5, 1) == [(0, 5)]
