@@ -128,14 +128,20 @@ def max_of_two_gaussians(
     prob1, density = standard_normal(alpha)
     prob2 = 1.0 - prob1
 
-    mean_max = mean1 * prob1 + mean2 * prob2 + spread * density
+    # The moments are taken about the midpoint of the two means.  The max's
+    # variance is shift-invariant, and about the origin ``m2 - m1^2`` cancels
+    # to a few ulps of ``mean**2``: when one variable dominates by several
+    # sigmas that rounding noise exceeds the true sigma, and differs between
+    # max(X1, X2) and max(X2, X1).  About the midpoint it is an ulp of
+    # ``((mean1 - mean2) / 2)**2`` instead.
+    centre = 0.5 * (mean1 + mean2)
+    half_gap = 0.5 * (mean1 - mean2)
+    offset = half_gap * (prob1 - prob2) + spread * density
     second_moment = (
-        (mean1**2 + std1**2) * prob1
-        + (mean2**2 + std2**2) * prob2
-        + (mean1 + mean2) * spread * density
+        (half_gap**2 + std1**2) * prob1 + (half_gap**2 + std2**2) * prob2
     )
-    variance = max(second_moment - mean_max**2, 0.0)
-    return MaxResult(mean_max, variance**0.5)
+    variance = max(second_moment - offset**2, 0.0)
+    return MaxResult(centre + offset, variance**0.5)
 
 
 def correlation_with_max(
